@@ -32,13 +32,12 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
+    _apply_local,
     basis_state,
-    complete_isometry,
     embed_operator,
     haar_random_unitary,
     layout,
     partial_trace,
-    permute_factors,
     measure_register,
     unitary_fixing_columns,
 )
@@ -80,12 +79,6 @@ _P0 = np.outer(KET0, KET0.conj())
 _P1 = np.outer(KET1, KET1.conj())
 _P_PLUS = np.outer(PLUS, PLUS.conj())
 _P_MINUS = np.outer(MINUS, MINUS.conj())
-
-# CNOT with the first factor as control: |t, b> -> |t, b xor t>
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-    dtype=complex,
-)
 
 _MAX_D_E = 8  # keeps every full system at dimension <= 64
 
@@ -268,18 +261,23 @@ def bob_operation(state: DensityOperator, op: str) -> DensityOperator:
         raise ValueError(f"input has no T factor: {labels}")
     if "B" in labels:
         raise ValueError("input already has a B register")
-    appended = np.kron(state.matrix, _P0)
-    factors = state.layout.factors + (("B", 2),)
-    dims = tuple(d for _, d in factors)
+    dims = state.layout.dims
+    n = len(dims)
     t_pos = state.layout.position("T")
-    n = len(factors)
-    order = tuple(list(range(t_pos + 1)) + [n - 1] + list(range(t_pos + 1, n - 1)))
-    new_layout = SubsystemLayout(tuple(factors[i] for i in order))
-    matrix = permute_factors(appended, dims, order)
-    if op == MEASURE_RESEND:
-        cnot = embed_operator(_CNOT, new_layout, ["T", "B"])
-        matrix = cnot @ matrix @ cnot.conj().T
-    return DensityOperator(matrix, new_layout)
+    factors = state.layout.factors
+    new_layout = SubsystemLayout(factors[: t_pos + 1] + (("B", 2),) + factors[t_pos + 1 :])
+    # copy[t, b]: B's Z value given T's, a copy of it or always 0
+    copy = np.eye(2) if op == MEASURE_RESEND else np.array([[1.0, 0.0], [1.0, 0.0]])
+
+    def on_axes(first: int) -> np.ndarray:
+        shape = [1] * (2 * n + 2)
+        shape[first] = shape[first + 1] = 2
+        return copy.reshape(shape)
+
+    # B's row and column axes go in right after T's
+    rho = np.expand_dims(state.matrix.reshape(dims * 2), (t_pos + 1, n + t_pos + 2))
+    out = rho * on_axes(t_pos) * on_axes(n + 1 + t_pos)
+    return DensityOperator(out.reshape(new_layout.dim, new_layout.dim), new_layout)
 
 
 def _ancilla_pair(attack: RestrictedAttack) -> tuple[np.ndarray, np.ndarray]:
@@ -298,19 +296,28 @@ def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
     columns orthonormal, so F*F = I.
     """
     e, f = _ancilla_pair(attack)
-    col0 = attack.q0 * np.kron(KET0, KET0) + math.sqrt(max(0.0, 1.0 - attack.q0**2)) * np.kron(KET1, e)
-    col1 = math.sqrt(max(0.0, 1.0 - attack.q1**2)) * np.kron(KET0, f) + attack.q1 * np.kron(KET1, KET0)
-    return np.column_stack([col0, col1])
+    out = np.zeros((2, 2, 2), dtype=complex)  # (T, ancilla, input)
+    out[0, 0, 0] = attack.q0
+    out[1, :, 0] = math.sqrt(max(0.0, 1.0 - attack.q0**2)) * e
+    out[0, :, 1] = math.sqrt(max(0.0, 1.0 - attack.q1**2)) * f
+    out[1, 0, 1] = attack.q1
+    return out.reshape(4, 2)
 
 
 def _forward_embedded(attack: RestrictedAttack) -> np.ndarray:
     """Forward isometry with its two-dimensional ancilla embedded into C^{d_e}."""
-    small = forward_isometry(attack)
-    out = np.zeros((2 * attack.d_e, 2), dtype=complex)
-    for t in range(2):
-        for anc in range(2):
-            out[t * attack.d_e + anc, :] = small[t * 2 + anc, :]
-    return out
+    out = np.zeros((2, attack.d_e, 2), dtype=complex)
+    out[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
+    return out.reshape(2 * attack.d_e, 2)
+
+
+def _forward_and_reverse(attack) -> tuple[np.ndarray, np.ndarray]:
+    """The forward map T -> T (x) E (ancilla from |0>) and the reverse unitary."""
+    if isinstance(attack, CollectiveAttack):
+        return attack.u_forward[:, [0, attack.d_e]], attack.u_reverse
+    if isinstance(attack, RestrictedAttack):
+        return _forward_embedded(attack), attack.u
+    raise TypeError(f"unsupported attack type {type(attack).__name__}")
 
 
 def derive_restricted_from_collective(
@@ -343,9 +350,9 @@ def derive_restricted_from_collective(
         if np.max(np.abs(pair.conj().T @ pair - np.eye(2))) > TOL.orthonormal:
             raise ValueError("basis columns are not orthonormal")
         v0, v1 = pair[:, 0], pair[:, 1]
-    chi = basis_state(d_e, 0)
-    w0 = (attack.u_forward @ np.kron(v0, chi)).reshape(2, d_e)
-    w1 = (attack.u_forward @ np.kron(v1, chi)).reshape(2, d_e)
+    forward = attack.u_forward[:, [0, d_e]]  # ancilla starts in |0>
+    w0 = (forward @ v0).reshape(2, d_e)
+    w1 = (forward @ v1).reshape(2, d_e)
 
     def _split(block: np.ndarray) -> tuple[float, np.ndarray]:
         norm = float(np.linalg.norm(block))
@@ -362,16 +369,19 @@ def derive_restricted_from_collective(
     alpha, beta = min(alpha, 1.0), min(beta, 1.0)
     eta0 = complex(e3.conj() @ e1)
     eta1 = complex(e0.conj() @ e2)
-    placed = {
-        0: np.kron(KET0, e0),
-        d_e: np.kron(KET1, e3),
-    }
+
+    def on_t(t: int, ancilla: np.ndarray) -> np.ndarray:
+        out = np.zeros((2, d_e), dtype=complex)  # |t> (x) ancilla
+        out[t] = ancilla
+        return out.reshape(-1)
+
+    placed = {0: on_t(0, e0), d_e: on_t(1, e3)}
     if abs(eta1) < 1.0 - TOL.eta_degenerate:
         g0 = (e2 - eta1 * e0) / math.sqrt(1.0 - abs(eta1) ** 2)
-        placed[1] = np.kron(KET0, g0)
+        placed[1] = on_t(0, g0)
     if abs(eta0) < 1.0 - TOL.eta_degenerate:
         g1 = (e1 - eta0 * e3) / math.sqrt(1.0 - abs(eta0) ** 2)
-        placed[d_e + 1] = np.kron(KET1, g1)
+        placed[d_e + 1] = on_t(1, g1)
     v = unitary_fixing_columns(2 * d_e, placed)
     if abs(eta0) > 1.0:
         eta0 /= abs(eta0)
@@ -399,19 +409,10 @@ def simulate_sqkd(attack, alice_state: np.ndarray, bob_op: str) -> DensityOperat
         raise ValueError(f"alice state must be a qubit, got dimension {a.shape}")
     if abs(np.linalg.norm(a) - 1.0) > TOL.norm:
         raise ValueError("alice state is not normalized")
-    d_e = attack.d_e
-    if isinstance(attack, CollectiveAttack):
-        psi = attack.u_forward @ np.kron(a, basis_state(d_e, 0))
-        u_rev = attack.u_reverse
-    elif isinstance(attack, RestrictedAttack):
-        psi = _forward_embedded(attack) @ a
-        u_rev = attack.u
-    else:
-        raise TypeError(f"unsupported attack type {type(attack).__name__}")
-    rho = DensityOperator.from_state(psi, layout(("T", 2), ("E", d_e)))
+    forward, u_rev = _forward_and_reverse(attack)
+    rho = DensityOperator.from_state(forward @ a, layout(("T", 2), ("E", attack.d_e)))
     rho = bob_operation(rho, bob_op)
-    reverse = embed_operator(u_rev, rho.layout, ["T", "E"])
-    return DensityOperator(reverse @ rho.matrix @ reverse.conj().T, rho.layout)
+    return DensityOperator(_apply_local(u_rev, rho.matrix, rho.layout, ["T", "E"]), rho.layout)
 
 
 def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
@@ -422,23 +423,12 @@ def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
     :func:`simulate_sqkd`. Returns the joint state over (A1, A2, B, E).
     """
     attack = _as_restricted(attack)
-    d_e = attack.d_e
-    bell = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / math.sqrt(2.0)
-    if isinstance(attack, CollectiveAttack):
-        psi = np.kron(bell, basis_state(d_e, 0))
-        lay = layout(("A1", 2), ("T", 2), ("E", d_e))
-        psi = embed_operator(attack.u_forward, lay, ["T", "E"]) @ psi
-        u_rev = attack.u_reverse
-    elif isinstance(attack, RestrictedAttack):
-        psi = np.kron(np.eye(2, dtype=complex), _forward_embedded(attack)) @ bell
-        lay = layout(("A1", 2), ("T", 2), ("E", d_e))
-        u_rev = attack.u
-    else:
-        raise TypeError(f"unsupported attack type {type(attack).__name__}")
-    rho = DensityOperator.from_state(psi, lay)
+    forward, u_rev = _forward_and_reverse(attack)
+    # the Bell pair's A1 = a branch sends |a> into the forward map
+    psi = forward.T.reshape(-1) / math.sqrt(2.0)
+    rho = DensityOperator.from_state(psi, layout(("A1", 2), ("T", 2), ("E", attack.d_e)))
     rho = bob_operation(rho, bob_op)
-    reverse = embed_operator(u_rev, rho.layout, ["T", "E"])
-    rho = DensityOperator(reverse @ rho.matrix @ reverse.conj().T, rho.layout)
+    rho = DensityOperator(_apply_local(u_rev, rho.matrix, rho.layout, ["T", "E"]), rho.layout)
     return rho.relabel({"T": "A2"})
 
 
@@ -462,10 +452,14 @@ def build_rewind(attack: RestrictedAttack) -> np.ndarray:
     q0, q1 = attack.q0, attack.q1
     s0 = math.sqrt(max(0.0, 1.0 - q0**2))
     s1 = math.sqrt(max(0.0, 1.0 - q1**2))
-    c00 = q0 * np.kron(np.kron(KET0, KET0), KET0) + s1 * np.kron(np.kron(KET1, KET0), f)
-    c11 = s0 * np.kron(np.kron(KET0, KET1), e) + q1 * np.kron(np.kron(KET1, KET1), KET0)
+    c00 = np.zeros((2, 2, 2), dtype=complex)  # (A1, A2, ancilla)
+    c00[0, 0, 0] = q0
+    c00[1, 0, :] = s1 * f
+    c11 = np.zeros((2, 2, 2), dtype=complex)
+    c11[0, 1, :] = s0 * e
+    c11[1, 1, 0] = q1
     placed = {}
-    for index, column in ((0, c00), (3, c11)):
+    for index, column in ((0, c00.reshape(8)), (3, c11.reshape(8))):
         norm = float(np.linalg.norm(column))
         if norm > 1e-12:
             placed[index] = column / norm
@@ -487,15 +481,11 @@ def derive_reduced_attack(attack) -> ReducedAttack:
     attack = _as_restricted(attack)
     d_e = attack.d_e
     p0 = 0.5 * (1.0 - attack.q1**2 + attack.q0**2)
-    rewind = build_rewind(attack)
-    placed: dict[int, np.ndarray] = {}
-    for k in range(4):
-        col = np.zeros(4 * d_e, dtype=complex)
-        for pair in range(4):
-            for anc in range(2):
-                col[pair * d_e + anc] = rewind[pair * 2 + anc, k]
-        placed[k * d_e] = col
-    rewind_full = unitary_fixing_columns(4 * d_e, placed)
+    # the rewind's two-dimensional ancilla embedded into C^{d_e}
+    rewind = np.zeros((4, d_e, 4), dtype=complex)
+    rewind[:, :2, :] = build_rewind(attack).reshape(4, 2, 4)
+    rewind = rewind.reshape(4 * d_e, 4)
+    rewind_full = unitary_fixing_columns(4 * d_e, {k * d_e: rewind[:, k] for k in range(4)})
     lay = layout(("A1", 2), ("A2", 2), ("E", d_e))
     reverse_full = embed_operator(attack.u, lay, ["A2", "E"])
     return ReducedAttack(p0, reverse_full @ rewind_full)
@@ -506,11 +496,11 @@ def _reduced_run(attack: ReducedAttack, a1a2_amplitudes: tuple[complex, complex]
     d_e = attack.d_e
     amp0, amp1 = a1a2_amplitudes
     lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
-    psi = np.zeros(lay.dim, dtype=complex)
-    psi += amp0 * np.kron(np.kron(np.kron(KET0, KET0), KET0), basis_state(d_e, 0))
-    psi += amp1 * np.kron(np.kron(np.kron(KET1, KET1), basis_state(2, b_bit)), basis_state(d_e, 0))
-    u = embed_operator(attack.u, lay, ["A1", "A2", "E"])
-    return DensityOperator.from_state(u @ psi, lay)
+    psi = np.zeros(lay.dims, dtype=complex)
+    psi[0, 0, 0, 0] = amp0
+    psi[1, 1, b_bit, 0] = amp1
+    psi = _apply_local(attack.u, psi.reshape(-1), lay, ["A1", "A2", "E"])
+    return DensityOperator.from_state(psi, lay)
 
 
 def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
@@ -553,18 +543,19 @@ def reduced_round_states(
 
 
 def _probability(rho: DensityOperator, projectors: dict[str, np.ndarray]) -> float:
-    op = np.eye(rho.dim, dtype=complex)
+    # the projectors act on distinct factors, so tr(P rho) = tr(P rho P) factor by factor
+    m = rho.matrix
     for label, proj in projectors.items():
-        op = op @ embed_operator(proj, rho.layout, [label])
-    return float(np.real(np.trace(op @ rho.matrix)))
+        m = _apply_local(proj, m, rho.layout, [label])
+    return float(np.real(np.trace(m)))
 
 
 def estimate_noise_stats(attack) -> NoiseStats:
     """Exact channel error rates induced by an attack.
 
     q_fwd is the probability that B's measured bit differs from A's key
-    bit, q_rev the probability that the returning qubit's Z value differs
-    from B's bit, and q_x the probability that the two X measurements on
+    bit, q_rev the joint probability that the returning qubit's Z value
+    differs from B's bit, and q_x the probability that the two X measurements on
     reflect rounds disagree. All three are computed from exact density
     operators, averaging uniformly over A's preparations where relevant.
     """
@@ -584,15 +575,13 @@ def estimate_noise_stats(attack) -> NoiseStats:
     q_fwd = 0.5 * sum(
         _probability(rho, {"B": z_projs[1 - sent]}) for sent, rho in enumerate(runs)
     )
-    # Reverse error: condition on B's resent bit, averaged over the two bits
-    # with A's preparation uniform. Branches B never produces contribute 0.
-    mixed = DensityOperator(0.5 * (runs[0].matrix + runs[1].matrix), runs[0].layout)
-    q_rev = 0.0
-    for bit in range(2):
-        p_bit = _probability(mixed, {"B": z_projs[bit]})
-        if p_bit > 1e-15:
-            p_flip = _probability(mixed, {"B": z_projs[bit], "T": z_projs[1 - bit]})
-            q_rev += 0.5 * p_flip / p_bit
+    # Reverse error: the joint probability that the returning Z value differs
+    # from B's bit, with A's preparation uniform.
+    q_rev = 0.5 * sum(
+        _probability(rho, {"B": z_projs[bit], "T": z_projs[1 - bit]})
+        for rho in runs
+        for bit in range(2)
+    )
     x_projs = {0: _P_PLUS, 1: _P_MINUS}
     q_x = 0.0
     for sign, state in enumerate((PLUS, MINUS)):

@@ -249,8 +249,10 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
     Scans r(Q) on a grid of step 1e-3 over [0, 1/2], requiring it to be
     monotone decreasing (within 1e-12) so the first sign change is the
     only one, then bisects that bracket down to width ``tol`` and returns
-    its midpoint. Raises :class:`ThresholdAtBoundary` if the rate never
-    goes negative and ValueError if r(0) <= 0 or monotonicity fails.
+    its midpoint; a ``tol`` below the float spacing there stops the
+    bisection at two adjacent floats instead. Raises
+    :class:`ThresholdAtBoundary` if the rate never goes negative and
+    ValueError if r(0) <= 0 or monotonicity fails.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -271,6 +273,8 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
     lo, hi = grid[bracket], grid[bracket + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is down to adjacent floats
+            break
         if key_rate(mid, model).r >= 0.0:
             lo = mid
         else:

@@ -196,6 +196,36 @@ def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...]
     return full.reshape(lay.dim, lay.dim)
 
 
+def _contract(op_tensor: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
+    # op_tensor has its output axes first, then its input axes
+    k = len(axes)
+    out = np.tensordot(op_tensor, t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def _apply_local(
+    op: np.ndarray, x: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...] | list[str]
+) -> np.ndarray:
+    """Apply an operator on the named factors without forming the full-space operator.
+
+    ``op`` acts on the tensor product of the listed factors in the listed
+    order, as in :func:`embed_operator`. A state vector ``x`` becomes
+    ``op x``; a square matrix ``x`` becomes ``op x op^dagger``, with ``op``
+    contracted into the row axes and its conjugate into the column axes of
+    ``x`` reshaped to the layout's factor dimensions.
+    """
+    positions = [lay.position(lab) for lab in labels]
+    dims = lay.dims
+    sub = tuple(dims[p] for p in positions)
+    op_tensor = np.asarray(op, dtype=complex).reshape(sub * 2)
+    if x.ndim == 1:
+        return _contract(op_tensor, x.reshape(dims), positions).reshape(x.shape)
+    n = len(dims)
+    t = _contract(op_tensor, x.reshape(dims * 2), positions)
+    t = _contract(op_tensor.conj(), t, [n + p for p in positions])
+    return t.reshape(x.shape)
+
+
 def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[str]) -> DensityOperator:
     """Trace out all factors not named in ``keep``.
 
@@ -305,33 +335,23 @@ def conditional_entropy(
     return s_ab - von_neumann_entropy(partial_trace(rho, b_set))
 
 
-_Z_PROJECTORS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-_X_PROJECTORS = (
-    np.full((2, 2), 0.5, dtype=complex),
-    np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-)
+_PAULIS = {"Z": np.diag([1.0, -1.0]), "X": np.array([[0.0, 1.0], [1.0, 0.0]])}
 
 
 def measure_register(rho: DensityOperator, label: str, basis: str) -> DensityOperator:
     """Non-selective measurement (pinching) of one qubit register.
 
     Applies sum_k (P_k (x) I) rho (P_k (x) I) with P_k the rank-1
-    projectors of the Z or X basis; the register becomes classical
-    (diagonal) in that basis. Trace-preserving and idempotent.
+    projectors of the Z or X basis, computed as (rho + S rho S) / 2 with S
+    the Pauli operator of that basis on the register; the register becomes
+    classical (diagonal) in that basis. Trace-preserving and idempotent.
     """
     if rho.layout.dim_of(label) != 2:
         raise ValueError(f"register {label!r} is not a qubit")
-    basis = basis.upper()
-    if basis == "Z":
-        projectors = _Z_PROJECTORS
-    elif basis == "X":
-        projectors = _X_PROJECTORS
-    else:
+    pauli = _PAULIS.get(basis.upper())
+    if pauli is None:
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    out = np.zeros_like(rho.matrix)
-    for p in projectors:
-        full = embed_operator(p, rho.layout, [label])
-        out += full @ rho.matrix @ full
+    out = 0.5 * (rho.matrix + _apply_local(pauli, rho.matrix, rho.layout, [label]))
     return DensityOperator(out, rho.layout)
 
 
@@ -354,8 +374,8 @@ def complete_isometry(columns: np.ndarray) -> np.ndarray:
 
     ``columns`` is an (n, k) array of k mutually orthonormal vectors
     (within 1e-8). Returns an n x n unitary whose first k columns are the
-    inputs, completed over the orthogonal complement by modified
-    Gram-Schmidt with one re-orthogonalization pass.
+    inputs, completed over the orthogonal complement by one Householder QR
+    of ``[columns | I]``.
     """
     cols = np.asarray(columns, dtype=complex)
     if cols.ndim == 1:
@@ -366,20 +386,10 @@ def complete_isometry(columns: np.ndarray) -> np.ndarray:
     gram = cols.conj().T @ cols
     if np.max(np.abs(gram - np.eye(k))) > TOL.orthonormal:
         raise ValueError("input columns are not orthonormal within tolerance")
-    basis = [cols[:, j].copy() for j in range(k)]
-    for j in range(n):
-        if len(basis) == n:
-            break
-        v = basis_state(n, j)
-        for _ in range(2):  # one re-orthogonalization pass after the first
-            for b in basis:
-                v = v - (b.conj() @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-    if len(basis) != n:
-        raise ValueError("failed to complete the isometry to a unitary")
-    return np.column_stack(basis)
+    # the first k columns of Q span the inputs; the rest span their complement
+    out, _ = np.linalg.qr(np.hstack([cols, np.eye(n, dtype=complex)]))
+    out[:, :k] = cols
+    return out
 
 
 def unitary_fixing_columns(dim: int, placed: dict[int, np.ndarray]) -> np.ndarray:

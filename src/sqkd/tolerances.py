@@ -1,8 +1,11 @@
 """Centralized numerical tolerances.
 
-Every validation threshold used by the toolkit lives in this one record so
-that tests can tighten or loosen them uniformly instead of chasing magic
-numbers through the code base.
+Every validation threshold used by the toolkit lives in this one record, so
+each one is named and documented in one place instead of appearing as a
+magic number in the code base. The record is frozen and every module binds
+``DEFAULT`` at import (``from .tolerances import DEFAULT as TOL``), so
+rebinding ``DEFAULT`` later changes nothing: changing a tolerance means
+editing this file.
 """
 from __future__ import annotations
 

@@ -21,6 +21,7 @@ from .attacks import (
     MEASURE_RESEND,
     REFLECT,
     CollectiveAttack,
+    ReducedAttack,
     RestrictedAttack,
     SymmetricRestrictedAttack,
     alice_states,
@@ -229,8 +230,8 @@ def _gram_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(k))))
 
 
-def _attack_isometry_residual(attack: RestrictedAttack) -> float:
-    reduced = derive_reduced_attack(attack)
+def _attack_isometry_residual(attack: RestrictedAttack, reduced: ReducedAttack) -> float:
+    """Worst Gram residual of an attack's isometries; ``reduced`` is its derived form."""
     return max(
         _gram_residual(forward_isometry(attack)),
         _gram_residual(build_rewind(attack)),
@@ -264,7 +265,7 @@ def symmetric_attack_diagnostics(attack: SymmetricRestrictedAttack) -> Symmetric
         s_x_given_a2=s_x_given_a2,
         td_reflect_aux=trace_distance(reflect_state, aux_state),
         h_key_given_b=h_key_given_b,
-        isometry_residual=_attack_isometry_residual(restricted),
+        isometry_residual=_attack_isometry_residual(restricted, reduced),
     )
 
 
@@ -377,19 +378,22 @@ def check_isometries(
     the rewind isometry, and the derived reverse and one-shot unitaries.
     """
     trials = _check_trials(trials)
+
+    def residual(attack: RestrictedAttack) -> float:
+        return _attack_isometry_residual(attack, derive_reduced_attack(attack))
+
     residuals = []
     for t in range(trials):
         d_e = int(d_e_list[t % len(d_e_list)])
         collective = random_collective_attack(d_e, trial_rng(seed, SUITE_COLLECTIVE, t))
-        residuals.append(_attack_isometry_residual(derive_restricted_from_collective(collective)))
+        residuals.append(residual(derive_restricted_from_collective(collective)))
         restricted = random_restricted_attack(d_e, trial_rng(seed, SUITE_RESTRICTED, t))
-        residuals.append(_attack_isometry_residual(restricted))
+        residuals.append(residual(restricted))
     for q_index, q in enumerate(Q_GRID):
         for t in range(trials):
             rng = trial_rng(seed, SUITE_SYMMETRIC, q_index * trials + t)
             d_e = int(d_e_list[t % len(d_e_list)])
-            attack = random_symmetric_attack(q, rng, d_e).as_restricted()
-            residuals.append(_attack_isometry_residual(attack))
+            residuals.append(residual(random_symmetric_attack(q, rng, d_e).as_restricted()))
     return _report("isometries", len(residuals), residuals, TOL.isometry)
 
 

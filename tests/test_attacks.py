@@ -29,10 +29,13 @@ from sqkd.attacks import (
 )
 from sqkd.linalg import (
     DensityOperator,
+    SubsystemLayout,
     basis_state,
+    embed_operator,
     haar_random_unitary,
     layout,
     partial_trace,
+    permute_factors,
     trace_distance,
 )
 
@@ -168,6 +171,51 @@ def test_bob_operation_insert_position_and_errors():
         bob_operation(no_t, MEASURE_RESEND)
     with pytest.raises(ValueError):
         bob_operation(rho, "teleport")
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def bob_operation_by_kron(state, op):
+    """Reference: append |0><0| on B by kron, move B after T, then CNOT T -> B."""
+    appended = np.kron(state.matrix, np.diag([1.0, 0.0]))
+    factors = state.layout.factors + (("B", 2),)
+    n = len(factors)
+    t_pos = state.layout.position("T")
+    order = tuple(list(range(t_pos + 1)) + [n - 1] + list(range(t_pos + 1, n - 1)))
+    new_layout = SubsystemLayout(tuple(factors[i] for i in order))
+    matrix = permute_factors(appended, tuple(d for _, d in factors), order)
+    if op == MEASURE_RESEND:
+        cnot = embed_operator(CNOT, new_layout, ["T", "B"])
+        matrix = cnot @ matrix @ cnot.conj().T
+    return new_layout, matrix
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (("T", 2), ("E", 2)),
+        (("T", 2), ("E", 8)),
+        (("E", 3), ("T", 2)),
+        (("A1", 2), ("T", 2), ("E", 4)),
+        (("A1", 2), ("E", 5), ("T", 2), ("A2", 2)),
+    ],
+)
+def test_bob_operation_matches_kron_construction(factors):
+    rng = np.random.default_rng(len(factors) * 10 + factors[-1][1])
+    lay = layout(*factors)
+    # a rank-2 mixed state, so coherences between T values are nonzero
+    rho = np.zeros((lay.dim, lay.dim), dtype=complex)
+    for weight in (0.7, 0.3):
+        psi = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+        psi /= np.linalg.norm(psi)
+        rho += weight * np.outer(psi, psi.conj())
+    state = DensityOperator(rho, lay)
+    for op in (MEASURE_RESEND, REFLECT):
+        expected_layout, expected = bob_operation_by_kron(state, op)
+        out = bob_operation(state, op)
+        assert out.layout == expected_layout
+        assert np.max(np.abs(out.matrix - expected)) < EXACT
 
 
 def test_simulate_sqkd_identity_attack():
@@ -378,6 +426,27 @@ def test_reduced_stats_match_direct_protocol():
         assert abs(direct.q_fwd - reduced.q_fwd) < EXACT
         assert abs(direct.q_rev - reduced.q_rev) < EXACT
         assert abs(direct.q_x - reduced.q_x) < EXACT
+
+
+@pytest.mark.parametrize("d_e", [2, 3, 4])
+def test_noise_stats_agree_across_attack_forms(d_e):
+    # asymmetric attacks: B's two resend bits occur with unequal weight, so
+    # q_rev must be the joint P(T != B) on every form, not an average of
+    # conditional flip rates
+    rng = np.random.default_rng(40 + d_e)
+    for _ in range(8):
+        collective = random_collective_attack(d_e, rng)
+        restricted = derive_restricted_from_collective(collective)
+        sampled = random_restricted_attack(d_e, rng)
+        for chain in (
+            (collective, restricted, derive_reduced_attack(restricted)),
+            (sampled, derive_reduced_attack(sampled)),
+        ):
+            stats = [estimate_noise_stats(attack) for attack in chain]
+            for other in stats[1:]:
+                assert abs(other.q_fwd - stats[0].q_fwd) < EXACT
+                assert abs(other.q_rev - stats[0].q_rev) < EXACT
+                assert abs(other.q_x - stats[0].q_x) < EXACT
 
 
 def test_random_samplers_deterministic_and_valid():

@@ -185,13 +185,13 @@ def test_help_exits_zero(capsys):
     assert "rate" in out and "verify" in out
 
 
-def run_python(cwd, *args):
+def run_python(cwd, *args, timeout=None):
     """Run ``python *args`` in ``cwd`` on the imported package, not an installed copy."""
     package_root = str(Path(sqkd.__file__).resolve().parents[1])
     search_path = [package_root, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search_path)))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout
     )
 
 
@@ -209,6 +209,16 @@ def test_module_entry_point(tmp_path):
     proc = run_python(tmp_path, "-m", "sqkd", "rate", "--q", "0", "--qx-model", "equal")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1] == "0,0,0,0,1,main,1,1"
+
+
+def test_threshold_tolerance_below_float_spacing_terminates(tmp_path):
+    # 1e-20 is below the float spacing near the threshold, so the bracket
+    # can never get that narrow; the bisection must still stop
+    argv = ("-m", "sqkd", "threshold", "--qx-model", "equal", "--tol", "1e-20")
+    proc = run_python(tmp_path, *argv, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    value = float(proc.stdout.splitlines()[1].split(",")[1])
+    assert abs(value - noise_threshold(EQUAL)) < 1e-6
 
 
 def test_console_script(tmp_path):

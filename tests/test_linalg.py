@@ -1,4 +1,5 @@
 """Tests for the dense linear algebra and state bookkeeping layer."""
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqkd.linalg import (
+    VALID_LABELS,
     DensityOperator,
+    _apply_local,
     SubsystemLayout,
     basis_state,
     binary_entropy,
@@ -35,6 +38,7 @@ H_OF_THIRD = 0.918295834054490
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
 
 def qubit_rho(psi):
@@ -141,6 +145,40 @@ def test_embed_operator_non_adjacent_pair():
     # listed-order sensitivity: (B, T) embeds the transpose arrangement
     swapped = embed_operator(permute_factors(op, (2, 2), (1, 0)), lay, ["B", "T"])
     assert np.allclose(swapped, embedded)
+
+
+def random_matrix(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def random_layout(rng):
+    """2-4 distinct labels; E gets dimension 2-8, every other factor is a qubit."""
+    labels = rng.choice(VALID_LABELS, size=int(rng.integers(2, 5)), replace=False)
+    return layout(*((str(lab), int(rng.integers(2, 9)) if lab == "E" else 2) for lab in labels))
+
+
+def local_cases():
+    # fixed adjacent, non-adjacent and reordered label lists, then random ones
+    fixed = layout(("A1", 2), ("T", 2), ("B", 2), ("E", 8))
+    for labels in (["T", "B"], ["B", "E"], ["A1", "E"], ["T"], ["E", "A1"], ["B", "A1", "E"]):
+        yield fixed, labels
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        lay = random_layout(rng)
+        count = int(rng.integers(1, len(lay.labels) + 1))
+        yield lay, [str(lab) for lab in rng.choice(lay.labels, size=count, replace=False)]
+
+
+def test_apply_local_matches_embedded_operator():
+    rng = np.random.default_rng(22)
+    for lay, labels in local_cases():
+        op = random_matrix(rng, math.prod(lay.dim_of(lab) for lab in labels))
+        full = embed_operator(op, lay, labels)
+        v = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+        assert np.max(np.abs(_apply_local(op, v, lay, labels) - full @ v)) < 1e-12
+        m = random_matrix(rng, lay.dim)
+        expected = full @ m @ full.conj().T
+        assert np.max(np.abs(_apply_local(op, m, lay, labels) - expected)) < 1e-11
 
 
 def test_partial_trace_bell_halves():
@@ -285,6 +323,24 @@ def test_measure_register_pinching():
     assert np.allclose(twice.matrix, pinched.matrix)
     # X pinch leaves an X eigenstate alone
     assert np.allclose(measure_register(plus, "T", "X").matrix, plus.matrix)
+
+
+def test_measure_register_matches_kron_construction():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        lay = random_layout(rng)
+        label = str(rng.choice([lab for lab in lay.labels if lay.dim_of(lab) == 2]))
+        psi = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+        rho = DensityOperator.from_state(psi / np.linalg.norm(psi), lay)
+        for basis, kets in (("Z", (basis_state(2, 0), basis_state(2, 1))), ("X", (PLUS, MINUS))):
+            expected = np.zeros_like(rho.matrix)
+            for ket in kets:
+                factors = [qubit_rho(ket) if lab == label else np.eye(d) for lab, d in lay.factors]
+                full = functools.reduce(np.kron, factors)
+                expected += full @ rho.matrix @ full
+            pinched = measure_register(rho, label, basis)
+            assert pinched.layout == lay
+            assert np.max(np.abs(pinched.matrix - expected)) < 1e-12
 
 
 def test_measure_register_leaves_other_factors():
