@@ -58,7 +58,6 @@ from .linalg import (
     measure_register,
     partial_trace,
     permute_factors,
-    tensor,
     trace_distance,
     trace_norm,
     unitary_fixing_columns,

@@ -33,6 +33,8 @@ from .linalg import (
     DensityOperator,
     SubsystemLayout,
     _apply_local,
+    _check_range,
+    _contract,
     basis_state,
     embed_operator,
     haar_random_unitary,
@@ -87,7 +89,7 @@ def _frozen_unitary(u: np.ndarray, dim: int, what: str) -> np.ndarray:
     m = np.array(u, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{what} must have shape ({dim}, {dim}), got {m.shape}")
-    if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > TOL.unitary:
+    if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= TOL.unitary:
         raise ValueError(f"{what} is not unitary within tolerance")
     m.setflags(write=False)
     return m
@@ -142,20 +144,17 @@ class RestrictedAttack:
         d_e = _check_d_e(self.d_e, minimum=2)
         object.__setattr__(self, "d_e", d_e)
         for name in ("q0", "q1"):
-            value = float(getattr(self, name))
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-            object.__setattr__(self, name, min(max(value, 0.0), 1.0))
+            object.__setattr__(self, name, _check_range(name, getattr(self, name), 0.0, 1.0))
         for name in ("eta0", "eta1"):
             value = complex(getattr(self, name))
-            if abs(value) > 1.0 + 1e-12:
+            if not abs(value) <= 1.0 + 1e-12:
                 raise ValueError(f"|{name}|={abs(value)} exceeds 1")
             object.__setattr__(self, name, value)
         residual = abs(
             self.q0 * self.eta1 * math.sqrt(max(0.0, 1.0 - self.q1**2))
             + self.q1 * np.conj(self.eta0) * math.sqrt(max(0.0, 1.0 - self.q0**2))
         )
-        if residual > TOL.constraint:
+        if not residual <= TOL.constraint:
             raise ValueError(f"attack parameters violate the constraint, residual {residual:.3e}")
         object.__setattr__(self, "u", _frozen_unitary(self.u, 2 * d_e, "u"))
 
@@ -178,7 +177,7 @@ class SymmetricRestrictedAttack:
             raise ValueError(f"error rate {q} outside [0, 1]")
         object.__setattr__(self, "q", q)
         eta = complex(self.eta)
-        if abs(eta) > 1.0 + 1e-12:
+        if not abs(eta) <= 1.0 + 1e-12:
             raise ValueError(f"|eta|={abs(eta)} exceeds 1")
         object.__setattr__(self, "eta", eta)
         m = np.array(self.u, dtype=complex)
@@ -209,10 +208,7 @@ class ReducedAttack:
     u: np.ndarray
 
     def __post_init__(self) -> None:
-        p0 = float(self.p0)
-        if not -1e-12 <= p0 <= 1.0 + 1e-12:
-            raise ValueError(f"p0={p0} outside [0, 1]")
-        object.__setattr__(self, "p0", min(max(p0, 0.0), 1.0))
+        object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
         m = np.array(self.u, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 4:
             raise ValueError(f"attack unitary has invalid shape {m.shape}")
@@ -234,10 +230,7 @@ class NoiseStats:
 
     def __post_init__(self) -> None:
         for name in ("q_fwd", "q_rev", "q_x"):
-            value = float(getattr(self, name))
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-            object.__setattr__(self, name, min(max(value, 0.0), 1.0))
+            object.__setattr__(self, name, _check_range(name, getattr(self, name), 0.0, 1.0))
 
 
 def alice_states() -> list[np.ndarray]:
@@ -320,13 +313,11 @@ def _forward_and_reverse(attack) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"unsupported attack type {type(attack).__name__}")
 
 
-def derive_restricted_from_collective(
-    attack: CollectiveAttack, basis: np.ndarray | None = None
-) -> RestrictedAttack:
+def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAttack:
     """Convert a collective attack to the restricted normal form.
 
     Reads the flip amplitudes and conditional ancilla states off the
-    forward unitary applied to the basis pair (default Z), then builds the
+    forward unitary's images of |0> and |1> (ancilla in |0>), then builds the
     block-diagonal unitary V that maps the two-dimensional ancilla of the
     normal form onto those conditional states. Because V preserves the
     transit qubit's Z value, it commutes with B's CNOT, so folding it into
@@ -335,24 +326,14 @@ def derive_restricted_from_collective(
 
     When a conditional-state overlap is degenerate (|eta| within 1e-8 of
     1) the corresponding V column is unreachable and is completed
-    arbitrarily. Simulation helpers interpret the result in the Z basis,
-    so protocol equivalence holds for the default pair.
+    arbitrarily.
     """
     d_e = attack.d_e
     if d_e < 2:
         raise ValueError("reduction needs an ancilla of dimension at least 2")
-    if basis is None:
-        v0, v1 = KET0, KET1
-    else:
-        pair = np.asarray(basis, dtype=complex)
-        if pair.shape != (2, 2):
-            raise ValueError(f"basis must be a 2x2 column pair, got shape {pair.shape}")
-        if np.max(np.abs(pair.conj().T @ pair - np.eye(2))) > TOL.orthonormal:
-            raise ValueError("basis columns are not orthonormal")
-        v0, v1 = pair[:, 0], pair[:, 1]
-    forward = attack.u_forward[:, [0, d_e]]  # ancilla starts in |0>
-    w0 = (forward @ v0).reshape(2, d_e)
-    w1 = (forward @ v1).reshape(2, d_e)
+    # the ancilla starts in |0>, so |t, 0> is column t * d_e
+    w0 = attack.u_forward[:, 0].reshape(2, d_e)
+    w1 = attack.u_forward[:, d_e].reshape(2, d_e)
 
     def _split(block: np.ndarray) -> tuple[float, np.ndarray]:
         norm = float(np.linalg.norm(block))
@@ -407,7 +388,7 @@ def simulate_sqkd(attack, alice_state: np.ndarray, bob_op: str) -> DensityOperat
     a = np.asarray(alice_state, dtype=complex).reshape(-1)
     if a.shape != (2,):
         raise ValueError(f"alice state must be a qubit, got dimension {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > TOL.norm:
+    if not abs(np.linalg.norm(a) - 1.0) <= TOL.norm:
         raise ValueError("alice state is not normalized")
     forward, u_rev = _forward_and_reverse(attack)
     rho = DensityOperator.from_state(forward @ a, layout(("T", 2), ("E", attack.d_e)))
@@ -537,17 +518,18 @@ def reduced_round_states(
     amps = (math.sqrt(attack.p0), -math.sqrt(max(0.0, 1.0 - attack.p0)))
     aux = _key_state(_reduced_run(attack, amps, 0))
     residual = np.max(np.abs(resend.matrix - 0.5 * reflect.matrix - 0.5 * aux.matrix))
-    if residual > TOL.decomposition:
+    if not residual <= TOL.decomposition:
         raise ArithmeticError(f"round-state decomposition residual {residual:.3e}")
     return reflect, resend, aux
 
 
 def _probability(rho: DensityOperator, projectors: dict[str, np.ndarray]) -> float:
-    # the projectors act on distinct factors, so tr(P rho) = tr(P rho P) factor by factor
-    m = rho.matrix
+    # tr(P rho) with P the product of projectors on distinct factors: each
+    # is contracted into the row axes only
+    t = rho.matrix.reshape(rho.layout.dims * 2)
     for label, proj in projectors.items():
-        m = _apply_local(proj, m, rho.layout, [label])
-    return float(np.real(np.trace(m)))
+        t = _contract(proj, t, [rho.layout.position(label)])
+    return float(np.real(np.trace(t.reshape(rho.dim, rho.dim))))
 
 
 def estimate_noise_stats(attack) -> NoiseStats:

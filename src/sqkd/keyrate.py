@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import binary_entropy
+from .linalg import _check_range, binary_entropy
 
 __all__ = [
     "MAIN_BRANCH",
@@ -156,13 +156,6 @@ class ThresholdAtBoundary(RuntimeError):
             f"no sign change on [0, 0.5]: key rate at the boundary is {boundary_rate}"
         )
         self.boundary_rate = boundary_rate
-
-
-def _check_range(name: str, value: float, low: float, high: float) -> float:
-    value = float(value)
-    if not low - 1e-12 <= value <= high + 1e-12:
-        raise ValueError(f"{name}={value} outside [{low}, {high}]")
-    return min(max(value, low), high)
 
 
 def continuity_bound(eps: float) -> float:

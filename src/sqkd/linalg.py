@@ -26,7 +26,6 @@ __all__ = [
     "layout",
     "DensityOperator",
     "basis_state",
-    "tensor",
     "permute_factors",
     "embed_operator",
     "partial_trace",
@@ -119,11 +118,13 @@ class DensityOperator:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match layout dimension {self.layout.dim}"
             )
-        if np.max(np.abs(m - m.conj().T)) > TOL.hermitian:
+        # each gate is written so that a NaN fails it
+        if not np.max(np.abs(m - m.conj().T)) <= TOL.hermitian:
             raise ValueError("density operator is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TOL.trace_one or abs(np.trace(m).imag) > TOL.trace_one:
-            raise ValueError(f"density operator trace {np.trace(m)} is not 1 within tolerance")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -TOL.psd:
+        tr = np.trace(m)
+        if not (abs(tr.real - 1.0) <= TOL.trace_one and abs(tr.imag) <= TOL.trace_one):
+            raise ValueError(f"density operator trace {tr} is not 1 within tolerance")
+        if not np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -TOL.psd:
             raise ValueError("density operator has a negative eigenvalue beyond tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -132,7 +133,7 @@ class DensityOperator:
     def from_state(cls, psi: np.ndarray, lay: SubsystemLayout) -> "DensityOperator":
         """Projector |psi><psi| of a normalized state vector."""
         v = np.asarray(psi, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > TOL.norm:
+        if not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
             raise ValueError(f"state vector norm {np.linalg.norm(v)} is not 1 within tolerance")
         return cls(np.outer(v, v.conj()), lay)
 
@@ -151,11 +152,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices or vectors."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def permute_factors(matrix: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
@@ -258,7 +254,7 @@ def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} requires a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > TOL.hermitian_input:
+    if not np.max(np.abs(m - m.conj().T)) <= TOL.hermitian_input:
         raise ValueError(f"{what} requires a Hermitian matrix")
     return (m + m.conj().T) / 2
 
@@ -288,16 +284,25 @@ def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
     return 0.5 * trace_norm(r1.matrix - r2.matrix)
 
 
+def _check_range(name: str, value: float, low: float, high: float) -> float:
+    """``value`` as a float clamped to [low, high].
+
+    Values within 1e-12 outside the range (simulation roundoff) are
+    clamped; anything further out, or NaN, raises ValueError.
+    """
+    value = float(value)
+    if not low - 1e-12 <= value <= high + 1e-12:
+        raise ValueError(f"{name}={value} outside [{low}, {high}]")
+    return low if value < low else high if value > high else value
+
+
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) = -x log2 x - (1-x) log2(1-x), with 0 log 0 := 0.
 
     Inputs within 1e-12 outside [0, 1] (simulation roundoff) are clamped;
     anything further out raises ValueError.
     """
-    x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
+    x = _check_range("binary_entropy argument", x, 0.0, 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
@@ -384,7 +389,7 @@ def complete_isometry(columns: np.ndarray) -> np.ndarray:
     if k > n:
         raise ValueError(f"cannot complete {k} columns in dimension {n}")
     gram = cols.conj().T @ cols
-    if np.max(np.abs(gram - np.eye(k))) > TOL.orthonormal:
+    if not np.max(np.abs(gram - np.eye(k))) <= TOL.orthonormal:
         raise ValueError("input columns are not orthonormal within tolerance")
     # the first k columns of Q span the inputs; the rest span their complement
     out, _ = np.linalg.qr(np.hstack([cols, np.eye(n, dtype=complex)]))

@@ -1,11 +1,17 @@
-"""Centralized numerical tolerances.
+"""Named numerical tolerances.
 
-Every validation threshold used by the toolkit lives in this one record, so
-each one is named and documented in one place instead of appearing as a
-magic number in the code base. The record is frozen and every module binds
-``DEFAULT`` at import (``from .tolerances import DEFAULT as TOL``), so
-rebinding ``DEFAULT`` later changes nothing: changing a tolerance means
-editing this file.
+This record holds the tolerances of state and attack validation and the
+gates of the verification suites, each named and documented here. A few
+fixed constants live next to the code they guard instead: the 1e-12
+roundoff slack of range checks (``linalg._check_range`` and the |eta| <= 1
+checks in ``attacks``), the 1e-12 floors below which
+``derive_restricted_from_collective``, ``build_rewind`` and
+``random_restricted_attack`` treat a norm or coefficient as zero, and the
+``_MONOTONE_SLACK`` of ``keyrate.noise_threshold``.
+
+The record is frozen and every module binds ``DEFAULT`` at import
+(``from .tolerances import DEFAULT as TOL``), so rebinding ``DEFAULT``
+later changes nothing: changing a tolerance means editing this file.
 """
 from __future__ import annotations
 

@@ -11,9 +11,10 @@ isolation and concurrency or trial order can never change results.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .attacks import (
     MEASURE_RESEND,
     REFLECT,
     CollectiveAttack,
-    ReducedAttack,
     RestrictedAttack,
     SymmetricRestrictedAttack,
     alice_states,
@@ -138,6 +138,34 @@ def _check_trials(trials: int) -> int:
     return trials
 
 
+# One seeded attack stream per suite, in trial order. Every check that reads
+# a suite's attacks draws them from here, so they all see the same attacks.
+
+
+def _d_e(d_e_list: Sequence[int], t: int) -> int:
+    return int(d_e_list[t % len(d_e_list)])
+
+
+def _collective_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator[CollectiveAttack]:
+    for t in range(trials):
+        yield random_collective_attack(_d_e(d_e_list, t), trial_rng(seed, SUITE_COLLECTIVE, t))
+
+
+def _restricted_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator[RestrictedAttack]:
+    for t in range(trials):
+        yield random_restricted_attack(_d_e(d_e_list, t), trial_rng(seed, SUITE_RESTRICTED, t))
+
+
+def _symmetric_attacks(
+    trials: int, seed: int, d_e_list: Sequence[int]
+) -> Iterator[SymmetricRestrictedAttack]:
+    # trials attacks at each rate of Q_GRID
+    for q_index, q in enumerate(Q_GRID):
+        for t in range(trials):
+            rng = trial_rng(seed, SUITE_SYMMETRIC, q_index * trials + t)
+            yield random_symmetric_attack(q, rng, _d_e(d_e_list, t))
+
+
 def collective_reduction_residual(attack: CollectiveAttack) -> float:
     """Worst trace distance between a collective attack and its restricted form.
 
@@ -222,28 +250,11 @@ class SymmetricAttackDiagnostics:
     s_x_given_a2: float
     td_reflect_aux: float
     h_key_given_b: float
-    isometry_residual: float
-
-
-def _gram_residual(m: np.ndarray) -> float:
-    k = m.shape[1]
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(k))))
-
-
-def _attack_isometry_residual(attack: RestrictedAttack, reduced: ReducedAttack) -> float:
-    """Worst Gram residual of an attack's isometries; ``reduced`` is its derived form."""
-    return max(
-        _gram_residual(forward_isometry(attack)),
-        _gram_residual(build_rewind(attack)),
-        _gram_residual(attack.u),
-        _gram_residual(reduced.u),
-    )
 
 
 def symmetric_attack_diagnostics(attack: SymmetricRestrictedAttack) -> SymmetricAttackDiagnostics:
     """Compute all entropic diagnostics for one symmetric attack."""
-    restricted = attack.as_restricted()
-    reduced = derive_reduced_attack(restricted)
+    reduced = derive_reduced_attack(attack)
     stats = estimate_noise_stats(reduced)
     reflect_state, resend_state, aux_state = reduced_round_states(reduced)
 
@@ -265,7 +276,6 @@ def symmetric_attack_diagnostics(attack: SymmetricRestrictedAttack) -> Symmetric
         s_x_given_a2=s_x_given_a2,
         td_reflect_aux=trace_distance(reflect_state, aux_state),
         h_key_given_b=h_key_given_b,
-        isometry_residual=_attack_isometry_residual(restricted, reduced),
     )
 
 
@@ -274,13 +284,7 @@ def symmetric_diagnostics_sample(
 ) -> list[SymmetricAttackDiagnostics]:
     """Diagnostics for ``trials`` seeded attacks at every rate in Q_GRID."""
     trials = _check_trials(trials)
-    sample = []
-    for q_index, q in enumerate(Q_GRID):
-        for t in range(trials):
-            rng = trial_rng(seed, SUITE_SYMMETRIC, q_index * trials + t)
-            d_e = int(d_e_list[t % len(d_e_list)])
-            sample.append(symmetric_attack_diagnostics(random_symmetric_attack(q, rng, d_e)))
-    return sample
+    return [symmetric_attack_diagnostics(a) for a in _symmetric_attacks(trials, seed, d_e_list)]
 
 
 def _folded(q_x: float) -> float:
@@ -330,11 +334,7 @@ def check_thm1_equivalence(
 ) -> VerifyReport:
     """Collective-to-restricted reduction over seeded Haar-random attacks."""
     trials = _check_trials(trials)
-    residuals = []
-    for t in range(trials):
-        rng = trial_rng(seed, SUITE_COLLECTIVE, t)
-        d_e = int(d_e_list[t % len(d_e_list)])
-        residuals.append(collective_reduction_residual(random_collective_attack(d_e, rng)))
+    residuals = [collective_reduction_residual(a) for a in _collective_attacks(trials, seed, d_e_list)]
     return _report("thm1-equivalence", trials, residuals, TOL.equivalence)
 
 
@@ -343,11 +343,7 @@ def check_thm2_equivalence(
 ) -> VerifyReport:
     """Restricted-to-reduced protocol equivalence over seeded random attacks."""
     trials = _check_trials(trials)
-    residuals = []
-    for t in range(trials):
-        rng = trial_rng(seed, SUITE_RESTRICTED, t)
-        d_e = int(d_e_list[t % len(d_e_list)])
-        residuals.append(restricted_reduction_residual(random_restricted_attack(d_e, rng)))
+    residuals = [restricted_reduction_residual(a) for a in _restricted_attacks(trials, seed, d_e_list)]
     return _report("thm2-equivalence", trials, residuals, TOL.equivalence)
 
 
@@ -373,27 +369,30 @@ def check_isometries(
 ) -> VerifyReport:
     """Orthonormality residuals of every constructed isometry and unitary.
 
-    Replays the same attack streams as the equivalence and entropy suites
-    and measures the worst Gram-matrix residual of the forward isometry,
-    the rewind isometry, and the derived reverse and one-shot unitaries.
+    Replays the attack streams of the equivalence and entropy suites (the
+    collective ones in their derived restricted form) and measures the
+    worst Gram-matrix residual of the forward isometry, the rewind
+    isometry, and the reverse and derived one-shot unitaries.
     """
     trials = _check_trials(trials)
 
-    def residual(attack: RestrictedAttack) -> float:
-        return _attack_isometry_residual(attack, derive_reduced_attack(attack))
+    def gram_residual(m: np.ndarray) -> float:
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
-    residuals = []
-    for t in range(trials):
-        d_e = int(d_e_list[t % len(d_e_list)])
-        collective = random_collective_attack(d_e, trial_rng(seed, SUITE_COLLECTIVE, t))
-        residuals.append(residual(derive_restricted_from_collective(collective)))
-        restricted = random_restricted_attack(d_e, trial_rng(seed, SUITE_RESTRICTED, t))
-        residuals.append(residual(restricted))
-    for q_index, q in enumerate(Q_GRID):
-        for t in range(trials):
-            rng = trial_rng(seed, SUITE_SYMMETRIC, q_index * trials + t)
-            d_e = int(d_e_list[t % len(d_e_list)])
-            residuals.append(residual(random_symmetric_attack(q, rng, d_e).as_restricted()))
+    def residual(attack: RestrictedAttack) -> float:
+        return max(
+            gram_residual(forward_isometry(attack)),
+            gram_residual(build_rewind(attack)),
+            gram_residual(attack.u),
+            gram_residual(derive_reduced_attack(attack).u),
+        )
+
+    attacks = itertools.chain(
+        map(derive_restricted_from_collective, _collective_attacks(trials, seed, d_e_list)),
+        _restricted_attacks(trials, seed, d_e_list),
+        (a.as_restricted() for a in _symmetric_attacks(trials, seed, d_e_list)),
+    )
+    residuals = [residual(a) for a in attacks]
     return _report("isometries", len(residuals), residuals, TOL.isometry)
 
 

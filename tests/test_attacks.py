@@ -31,12 +31,15 @@ from sqkd.linalg import (
     DensityOperator,
     SubsystemLayout,
     basis_state,
+    binary_entropy,
+    complete_isometry,
     embed_operator,
     haar_random_unitary,
     layout,
     partial_trace,
     permute_factors,
     trace_distance,
+    trace_norm,
 )
 
 EXACT = 1e-12
@@ -299,19 +302,31 @@ def test_derive_restricted_random_spot(d_e):
             assert trace_distance(lhs, rhs) < EXACT
 
 
-def test_derive_restricted_basis_argument():
-    rng = np.random.default_rng(15)
-    attack = random_collective_attack(2, rng)
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    derived = derive_restricted_from_collective(attack, basis=hadamard)
-    assert 0.0 <= derived.q0 <= 1.0
-    with pytest.raises(ValueError):
-        derive_restricted_from_collective(attack, basis=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        derive_restricted_from_collective(attack, basis=np.eye(3))
+def test_derive_restricted_rejects_one_dimensional_ancilla():
     small = CollectiveAttack(np.eye(2), np.eye(2), 1)
     with pytest.raises(ValueError):
         derive_restricted_from_collective(small)
+
+
+def test_nan_inputs_are_rejected():
+    nan = float("nan")
+    nan_unitary = np.full((4, 4), nan, dtype=complex)
+    with pytest.raises(ValueError):
+        DensityOperator(np.full((2, 2), nan), layout(("T", 2)))
+    with pytest.raises(ValueError):
+        CollectiveAttack(nan_unitary, np.eye(4), 2)
+    with pytest.raises(ValueError):
+        ReducedAttack(0.5, nan_unitary)
+    with pytest.raises(ValueError):
+        RestrictedAttack(1, 1, nan, nan, np.eye(4), 2)
+    with pytest.raises(ValueError):
+        SymmetricRestrictedAttack(0.1, nan, np.eye(4))
+    with pytest.raises(ValueError):
+        complete_isometry([[nan], [0]])
+    with pytest.raises(ValueError):
+        trace_norm(np.full((2, 2), nan))
+    with pytest.raises(ValueError):
+        binary_entropy(nan)
 
 
 def test_build_rewind_columns():

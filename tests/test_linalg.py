@@ -23,7 +23,6 @@ from sqkd.linalg import (
     measure_register,
     partial_trace,
     permute_factors,
-    tensor,
     trace_distance,
     trace_norm,
     unitary_fixing_columns,
@@ -97,14 +96,6 @@ def test_basis_state():
     assert np.array_equal(v, np.array([0, 0, 1, 0], dtype=complex))
     with pytest.raises(ValueError):
         basis_state(3, 3)
-
-
-def test_tensor_matches_kron():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(tensor(a, b), np.kron(a, b))
-    assert tensor(basis_state(2, 0), basis_state(3, 2)).shape == (6,)
 
 
 def test_permute_factors_swaps_kron_order():
