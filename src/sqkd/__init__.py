@@ -12,7 +12,6 @@ from .attacks import (
     NoiseStats,
     ReducedAttack,
     RestrictedAttack,
-    SymmetricRestrictedAttack,
     alice_states,
     bob_operation,
     build_rewind,
@@ -57,7 +56,6 @@ from .linalg import (
     layout,
     measure_register,
     partial_trace,
-    permute_factors,
     trace_distance,
     trace_norm,
     unitary_fixing_columns,

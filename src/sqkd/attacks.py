@@ -50,7 +50,6 @@ __all__ = [
     "REFLECT",
     "CollectiveAttack",
     "RestrictedAttack",
-    "SymmetricRestrictedAttack",
     "ReducedAttack",
     "NoiseStats",
     "alice_states",
@@ -157,42 +156,6 @@ class RestrictedAttack:
         if not residual <= TOL.constraint:
             raise ValueError(f"attack parameters violate the constraint, residual {residual:.3e}")
         object.__setattr__(self, "u", _frozen_unitary(self.u, 2 * d_e, "u"))
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricRestrictedAttack:
-    """Restricted attack with equal Z error rate q in both channel directions.
-
-    Expands to the restricted form (sqrt(1-q), sqrt(1-q), eta, -conj(eta), U),
-    which satisfies the parameter constraint identically.
-    """
-
-    q: float
-    eta: complex
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = float(self.q)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"error rate {q} outside [0, 1]")
-        object.__setattr__(self, "q", q)
-        eta = complex(self.eta)
-        if not abs(eta) <= 1.0 + 1e-12:
-            raise ValueError(f"|eta|={abs(eta)} exceeds 1")
-        object.__setattr__(self, "eta", eta)
-        m = np.array(self.u, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError(f"reverse unitary has invalid shape {m.shape}")
-        d_e = _check_d_e(m.shape[0] // 2, minimum=2)
-        object.__setattr__(self, "u", _frozen_unitary(m, 2 * d_e, "u"))
-
-    @property
-    def d_e(self) -> int:
-        return self.u.shape[0] // 2
-
-    def as_restricted(self) -> RestrictedAttack:
-        amp = math.sqrt(1.0 - self.q)
-        return RestrictedAttack(amp, amp, self.eta, -np.conj(self.eta), self.u, self.d_e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,10 +334,12 @@ def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAtt
     return RestrictedAttack(alpha, beta, eta0, eta1, attack.u_reverse @ v, d_e)
 
 
-def _as_restricted(attack) -> RestrictedAttack:
-    if isinstance(attack, SymmetricRestrictedAttack):
-        return attack.as_restricted()
-    return attack
+def _two_way_round(
+    forward_state: np.ndarray, lay: SubsystemLayout, u_rev: np.ndarray, bob_op: str
+) -> DensityOperator:
+    """B's operation, then the reverse unitary on (T, E), after the forward channel."""
+    rho = bob_operation(DensityOperator.from_state(forward_state, lay), bob_op)
+    return DensityOperator(_apply_local(u_rev, rho.matrix, rho.layout, ["T", "E"]), rho.layout)
 
 
 def simulate_sqkd(attack, alice_state: np.ndarray, bob_op: str) -> DensityOperator:
@@ -384,16 +349,13 @@ def simulate_sqkd(attack, alice_state: np.ndarray, bob_op: str) -> DensityOperat
     ``bob_op``, and the qubit returns through the reverse channel. Returns
     the exact joint state over (T, B, E) just before A's final measurement.
     """
-    attack = _as_restricted(attack)
     a = np.asarray(alice_state, dtype=complex).reshape(-1)
     if a.shape != (2,):
         raise ValueError(f"alice state must be a qubit, got dimension {a.shape}")
     if not abs(np.linalg.norm(a) - 1.0) <= TOL.norm:
         raise ValueError("alice state is not normalized")
     forward, u_rev = _forward_and_reverse(attack)
-    rho = DensityOperator.from_state(forward @ a, layout(("T", 2), ("E", attack.d_e)))
-    rho = bob_operation(rho, bob_op)
-    return DensityOperator(_apply_local(u_rev, rho.matrix, rho.layout, ["T", "E"]), rho.layout)
+    return _two_way_round(forward @ a, layout(("T", 2), ("E", attack.d_e)), u_rev, bob_op)
 
 
 def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
@@ -403,14 +365,11 @@ def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
     half through the attacked two-way channel exactly as in
     :func:`simulate_sqkd`. Returns the joint state over (A1, A2, B, E).
     """
-    attack = _as_restricted(attack)
     forward, u_rev = _forward_and_reverse(attack)
     # the Bell pair's A1 = a branch sends |a> into the forward map
     psi = forward.T.reshape(-1) / math.sqrt(2.0)
-    rho = DensityOperator.from_state(psi, layout(("A1", 2), ("T", 2), ("E", attack.d_e)))
-    rho = bob_operation(rho, bob_op)
-    rho = DensityOperator(_apply_local(u_rev, rho.matrix, rho.layout, ["T", "E"]), rho.layout)
-    return rho.relabel({"T": "A2"})
+    lay = layout(("A1", 2), ("T", 2), ("E", attack.d_e))
+    return _two_way_round(psi, lay, u_rev, bob_op).relabel({"T": "A2"})
 
 
 def build_rewind(attack: RestrictedAttack) -> np.ndarray:
@@ -450,7 +409,7 @@ def build_rewind(attack: RestrictedAttack) -> np.ndarray:
     return full[:, :4]
 
 
-def derive_reduced_attack(attack) -> ReducedAttack:
+def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     """Convert a restricted attack into the B-prepares one-shot form.
 
     The reduced attack prepares nothing itself: it consists of the
@@ -459,7 +418,6 @@ def derive_reduced_attack(attack) -> ReducedAttack:
     The resulting joint state over (A1, A2, B, E) equals the entangled
     protocol's output exactly, for both of B's round types.
     """
-    attack = _as_restricted(attack)
     d_e = attack.d_e
     p0 = 0.5 * (1.0 - attack.q1**2 + attack.q0**2)
     # the rewind's two-dimensional ancilla embedded into C^{d_e}
@@ -551,7 +509,6 @@ def estimate_noise_stats(attack) -> NoiseStats:
         )
         return NoiseStats(q_fwd, q_rev, q_x)
 
-    attack = _as_restricted(attack)
     z_projs = (_P0, _P1)
     runs = [simulate_sqkd(attack, state, MEASURE_RESEND) for state in (KET0, KET1)]
     q_fwd = 0.5 * sum(
@@ -616,18 +573,17 @@ def random_restricted_attack(d_e: int, rng: np.random.Generator) -> RestrictedAt
     return RestrictedAttack(q0, q1, eta0, eta1, haar_random_unitary(2 * d_e, rng), d_e)
 
 
-def random_symmetric_attack(
-    q: float, rng: np.random.Generator, d_e: int = 2
-) -> SymmetricRestrictedAttack:
-    """Random symmetric attack with exact Z error rate q in both directions.
+def random_symmetric_attack(q: float, rng: np.random.Generator, d_e: int = 2) -> RestrictedAttack:
+    """Random restricted attack with exact Z error rate q in both directions.
 
-    The forward part is (sqrt(1-q), sqrt(1-q), eta, -conj(eta)) with eta
-    uniform on the unit disc. The reverse unitary is C . (R(theta) (x) I)
-    where R is a rotation with flip probability sin^2(theta/2) = q and C
-    is Z-controlled on the transit qubit (block-diagonal, one Haar unitary
-    on E per Z value). A Z-controlled C never changes the Z statistics, so
-    the reverse error rate is exactly q while the ancilla correlation
-    stays arbitrary.
+    Returns the :class:`RestrictedAttack` (sqrt(1-q), sqrt(1-q), eta,
+    -conj(eta), U), which satisfies the parameter constraint identically,
+    with eta uniform on the unit disc. The reverse unitary U is
+    C . (R(theta) (x) I) where R is a rotation with flip probability
+    sin^2(theta/2) = q and C is Z-controlled on the transit qubit
+    (block-diagonal, one Haar unitary on E per Z value). A Z-controlled C
+    never changes the Z statistics, so the reverse error rate is exactly q
+    while the ancilla correlation stays arbitrary.
     """
     q = float(q)
     if not 0.0 <= q <= 0.5:
@@ -646,4 +602,5 @@ def random_symmetric_attack(
     controlled[:d_e, :d_e] = haar_random_unitary(d_e, rng)
     controlled[d_e:, d_e:] = haar_random_unitary(d_e, rng)
     u = controlled @ np.kron(rotation, np.eye(d_e, dtype=complex))
-    return SymmetricRestrictedAttack(q, eta, u)
+    amp = math.sqrt(1.0 - q)
+    return RestrictedAttack(amp, amp, eta, -np.conj(eta), u, d_e)

@@ -118,16 +118,11 @@ def _render_reports(reports: Sequence[KeyRateReport], fmt: str) -> str:
 
 
 def _parse_d_e(text: str) -> tuple[int, ...]:
+    # the suites check the values themselves
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse ancilla dimension list {text!r}") from None
-    if not dims:
-        raise ValueError("ancilla dimension list is empty")
-    for d in dims:
-        if not 2 <= d <= 8:
-            raise ValueError(f"ancilla dimension {d} outside [2, 8]")
-    return dims
 
 
 def _run(args: argparse.Namespace) -> tuple[str, bool]:

@@ -26,7 +26,6 @@ __all__ = [
     "layout",
     "DensityOperator",
     "basis_state",
-    "permute_factors",
     "embed_operator",
     "partial_trace",
     "hermitian_eigen",
@@ -154,20 +153,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def permute_factors(matrix: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Reorder the tensor factors of an operator.
-
-    ``order[i]`` names the original factor that ends up at position ``i``.
-    """
-    n = len(dims)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of {n} factors")
-    t = np.asarray(matrix, dtype=complex).reshape(tuple(dims) * 2)
-    axes = list(order) + [n + i for i in order]
-    d = math.prod(dims)
-    return t.transpose(axes).reshape(d, d)
-
-
 def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...] | list[str]) -> np.ndarray:
     """Lift an operator acting on the named factors to the full space.
 
@@ -278,9 +263,9 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
-    """Trace distance (1/2)||r1 - r2||_1 between two density operators."""
-    if r1.dim != r2.dim:
-        raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
+    """Trace distance (1/2)||r1 - r2||_1 between two density operators on one layout."""
+    if r1.layout != r2.layout:
+        raise ValueError(f"layout mismatch: {r1.layout.factors} vs {r2.layout.factors}")
     return 0.5 * trace_norm(r1.matrix - r2.matrix)
 
 

@@ -4,7 +4,7 @@ This record holds the tolerances of state and attack validation and the
 gates of the verification suites, each named and documented here. A few
 fixed constants live next to the code they guard instead: the 1e-12
 roundoff slack of range checks (``linalg._check_range`` and the |eta| <= 1
-checks in ``attacks``), the 1e-12 floors below which
+check of ``attacks.RestrictedAttack``), the 1e-12 floors below which
 ``derive_restricted_from_collective``, ``build_rewind`` and
 ``random_restricted_attack`` treat a norm or coefficient as zero, and the
 ``_MONOTONE_SLACK`` of ``keyrate.noise_threshold``.

@@ -23,7 +23,7 @@ from .attacks import (
     REFLECT,
     CollectiveAttack,
     RestrictedAttack,
-    SymmetricRestrictedAttack,
+    _check_d_e,
     alice_states,
     build_rewind,
     derive_reduced_attack,
@@ -138,12 +138,18 @@ def _check_trials(trials: int) -> int:
     return trials
 
 
+def _check_d_e_list(d_e_list: Sequence[int]) -> tuple[int, ...]:
+    if not d_e_list:
+        raise ValueError("ancilla dimension list is empty")
+    return tuple(_check_d_e(d, minimum=2) for d in d_e_list)
+
+
 # One seeded attack stream per suite, in trial order. Every check that reads
 # a suite's attacks draws them from here, so they all see the same attacks.
 
 
 def _d_e(d_e_list: Sequence[int], t: int) -> int:
-    return int(d_e_list[t % len(d_e_list)])
+    return d_e_list[t % len(d_e_list)]
 
 
 def _collective_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator[CollectiveAttack]:
@@ -156,9 +162,7 @@ def _restricted_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iter
         yield random_restricted_attack(_d_e(d_e_list, t), trial_rng(seed, SUITE_RESTRICTED, t))
 
 
-def _symmetric_attacks(
-    trials: int, seed: int, d_e_list: Sequence[int]
-) -> Iterator[SymmetricRestrictedAttack]:
+def _symmetric_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator[RestrictedAttack]:
     # trials attacks at each rate of Q_GRID
     for q_index, q in enumerate(Q_GRID):
         for t in range(trials):
@@ -192,7 +196,7 @@ def collective_reduction_residual(attack: CollectiveAttack) -> float:
     return worst
 
 
-def restricted_reduction_residual(attack: RestrictedAttack | SymmetricRestrictedAttack) -> float:
+def restricted_reduction_residual(attack: RestrictedAttack) -> float:
     """Worst trace distance between the entangled protocol under a restricted
     attack and the B-prepares protocol under the derived one-shot attack."""
     reduced = derive_reduced_attack(attack)
@@ -252,8 +256,8 @@ class SymmetricAttackDiagnostics:
     h_key_given_b: float
 
 
-def symmetric_attack_diagnostics(attack: SymmetricRestrictedAttack) -> SymmetricAttackDiagnostics:
-    """Compute all entropic diagnostics for one symmetric attack."""
+def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDiagnostics:
+    """Compute all entropic diagnostics for one symmetric attack (q0 = q1)."""
     reduced = derive_reduced_attack(attack)
     stats = estimate_noise_stats(reduced)
     reflect_state, resend_state, aux_state = reduced_round_states(reduced)
@@ -283,6 +287,7 @@ def symmetric_diagnostics_sample(
     trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
 ) -> list[SymmetricAttackDiagnostics]:
     """Diagnostics for ``trials`` seeded attacks at every rate in Q_GRID."""
+    d_e_list = _check_d_e_list(d_e_list)
     trials = _check_trials(trials)
     return [symmetric_attack_diagnostics(a) for a in _symmetric_attacks(trials, seed, d_e_list)]
 
@@ -333,6 +338,7 @@ def check_thm1_equivalence(
     trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
 ) -> VerifyReport:
     """Collective-to-restricted reduction over seeded Haar-random attacks."""
+    d_e_list = _check_d_e_list(d_e_list)
     trials = _check_trials(trials)
     residuals = [collective_reduction_residual(a) for a in _collective_attacks(trials, seed, d_e_list)]
     return _report("thm1-equivalence", trials, residuals, TOL.equivalence)
@@ -342,6 +348,7 @@ def check_thm2_equivalence(
     trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
 ) -> VerifyReport:
     """Restricted-to-reduced protocol equivalence over seeded random attacks."""
+    d_e_list = _check_d_e_list(d_e_list)
     trials = _check_trials(trials)
     residuals = [restricted_reduction_residual(a) for a in _restricted_attacks(trials, seed, d_e_list)]
     return _report("thm2-equivalence", trials, residuals, TOL.equivalence)
@@ -374,6 +381,7 @@ def check_isometries(
     worst Gram-matrix residual of the forward isometry, the rewind
     isometry, and the reverse and derived one-shot unitaries.
     """
+    d_e_list = _check_d_e_list(d_e_list)
     trials = _check_trials(trials)
 
     def gram_residual(m: np.ndarray) -> float:
@@ -390,7 +398,7 @@ def check_isometries(
     attacks = itertools.chain(
         map(derive_restricted_from_collective, _collective_attacks(trials, seed, d_e_list)),
         _restricted_attacks(trials, seed, d_e_list),
-        (a.as_restricted() for a in _symmetric_attacks(trials, seed, d_e_list)),
+        _symmetric_attacks(trials, seed, d_e_list),
     )
     residuals = [residual(a) for a in attacks]
     return _report("isometries", len(residuals), residuals, TOL.isometry)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kron_reference import permute_factors
 from sqkd.attacks import (
     MEASURE_RESEND,
     REFLECT,
@@ -11,7 +12,6 @@ from sqkd.attacks import (
     NoiseStats,
     ReducedAttack,
     RestrictedAttack,
-    SymmetricRestrictedAttack,
     alice_states,
     bob_operation,
     build_rewind,
@@ -37,7 +37,6 @@ from sqkd.linalg import (
     haar_random_unitary,
     layout,
     partial_trace,
-    permute_factors,
     trace_distance,
     trace_norm,
 )
@@ -58,7 +57,7 @@ def hand_attack(u=None, d_e=2):
 
 
 def identity_symmetric(d_e=2):
-    return SymmetricRestrictedAttack(0.0, 0.0, np.eye(2 * d_e, dtype=complex))
+    return RestrictedAttack(1.0, 1.0, 0.0, 0.0, np.eye(2 * d_e, dtype=complex), d_e)
 
 
 def test_alice_states_geometry():
@@ -98,17 +97,12 @@ def test_restricted_attack_constraint():
 
 def test_symmetric_attack_expansion():
     rng = np.random.default_rng(11)
-    attack = SymmetricRestrictedAttack(0.05, 0.3 + 0.1j, haar_random_unitary(4, rng))
-    assert attack.d_e == 2
-    expanded = attack.as_restricted()
-    amp = math.sqrt(0.95)
-    assert abs(expanded.q0 - amp) < EXACT and abs(expanded.q1 - amp) < EXACT
-    assert expanded.eta0 == 0.3 + 0.1j
-    assert expanded.eta1 == -(0.3 - 0.1j)
-    with pytest.raises(ValueError):
-        SymmetricRestrictedAttack(1.2, 0.0, np.eye(4))
-    with pytest.raises(ValueError):
-        SymmetricRestrictedAttack(0.1, 2.0, np.eye(4))
+    for d_e in (2, 3):
+        attack = random_symmetric_attack(0.05, rng, d_e)
+        assert isinstance(attack, RestrictedAttack) and attack.d_e == d_e
+        amp = math.sqrt(0.95)
+        assert attack.q0 == amp and attack.q1 == amp
+        assert attack.eta1 == -np.conj(attack.eta0)
 
 
 def test_reduced_attack_validation():
@@ -320,8 +314,6 @@ def test_nan_inputs_are_rejected():
     with pytest.raises(ValueError):
         RestrictedAttack(1, 1, nan, nan, np.eye(4), 2)
     with pytest.raises(ValueError):
-        SymmetricRestrictedAttack(0.1, nan, np.eye(4))
-    with pytest.raises(ValueError):
         complete_isometry([[nan], [0]])
     with pytest.raises(ValueError):
         trace_norm(np.full((2, 2), nan))
@@ -394,7 +386,7 @@ def test_simulate_reduced_validation():
 def test_reduced_round_states_decomposition():
     rng = np.random.default_rng(17)
     for attack in (
-        random_symmetric_attack(0.05, rng).as_restricted(),
+        random_symmetric_attack(0.05, rng),
         random_restricted_attack(2, rng),  # asymmetric preparation weight
     ):
         reduced = derive_reduced_attack(attack)
@@ -426,7 +418,7 @@ def test_identity_attack_stats_vanish():
 
 def test_phase_only_attack_disturbs_x_basis():
     # reverse Z on the transit qubit: no Z errors, maximal X errors
-    attack = SymmetricRestrictedAttack(0.0, 0.0, np.diag([1.0, 1.0, -1.0, -1.0]))
+    attack = RestrictedAttack(1.0, 1.0, 0.0, 0.0, np.diag([1.0, 1.0, -1.0, -1.0]), 2)
     stats = estimate_noise_stats(attack)
     assert stats.q_fwd < EXACT and stats.q_rev < EXACT
     assert abs(stats.q_x - 1.0) < EXACT

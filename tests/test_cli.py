@@ -154,6 +154,7 @@ def test_verify_d_e_argument(capsys):
     assert code == 0
     code, _, err = run_cli(capsys, "verify", "--trials", "2", "--seed", "5", "--d-e", "1,9")
     assert code == 2
+    assert "ancilla dimension 1 outside [2, 8]" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kron_reference import permute_factors
 from sqkd.linalg import (
     VALID_LABELS,
     DensityOperator,
@@ -22,7 +23,6 @@ from sqkd.linalg import (
     layout,
     measure_register,
     partial_trace,
-    permute_factors,
     trace_distance,
     trace_norm,
     unitary_fixing_columns,
@@ -238,6 +238,20 @@ def test_trace_distance_reference_values():
     assert abs(trace_distance(zero, plus) - trace_distance(plus, zero)) < EXACT
     with pytest.raises(ValueError):
         trace_distance(zero, DensityOperator.from_state(BELL, layout(("A1", 2), ("A2", 2))))
+
+
+def test_trace_distance_rejects_mismatched_layouts():
+    # the same matrix is |T=0, E=1> on (T, E) but |T=1, E=0> on (E, T):
+    # orthogonal states, so equal dimensions alone must not pass
+    m = np.zeros((6, 6), dtype=complex)
+    m[1, 1] = 1.0
+    te = DensityOperator(m, layout(("T", 2), ("E", 3)))
+    et = DensityOperator(m, layout(("E", 3), ("T", 2)))
+    assert trace_distance(te, te) == 0.0
+    with pytest.raises(ValueError):
+        trace_distance(te, et)
+    with pytest.raises(ValueError):
+        trace_distance(te, te.relabel({"T": "A1"}))
 
 
 def test_trace_distance_triangle_inequality():

@@ -69,6 +69,21 @@ def test_isometry_check_small():
     assert report.passed and report.tolerance == 1e-10
 
 
+@pytest.mark.parametrize("d_e_list", [(), (2, 9)])
+def test_suites_reject_bad_ancilla_dimension_lists(d_e_list):
+    # (2, 9) with one trial never reaches the 9, so the list must be checked
+    # as a whole before any trial runs
+    for suite in (
+        check_thm1_equivalence,
+        check_thm2_equivalence,
+        check_isometries,
+        symmetric_diagnostics_sample,
+        run_all_checks,
+    ):
+        with pytest.raises(ValueError):
+            suite(1, 0, d_e_list)
+
+
 def test_symmetric_sample_shape_and_content():
     sample = symmetric_diagnostics_sample(2, seed=21)
     assert len(sample) == 2 * len(Q_GRID)
