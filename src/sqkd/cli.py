@@ -7,8 +7,9 @@ Four subcommands:
 * ``curve`` exports the full report grid over an error range,
 * ``verify`` runs the randomized numerical verification suites.
 
-Output is CSV (reals at 12 significant digits) or JSON (full precision)
-on stdout or to ``--output``. With a fixed seed every command is
+Each command produces a list of rows, rendered as CSV (reals at 12
+significant digits) or JSON (full precision; one row is an object, several
+a list) on stdout or to ``--output``. With a fixed seed every command is
 byte-deterministic. Exit codes: 0 success, 1 failed check or runtime
 error, 2 usage error.
 """
@@ -16,28 +17,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from typing import Sequence
 
-from .keyrate import (
-    KeyRateReport,
-    QxModel,
-    ThresholdAtBoundary,
-    key_rate,
-    keyrate_curve,
-    noise_threshold,
-)
+from .keyrate import QxModel, ThresholdAtBoundary, key_rate, keyrate_curve, noise_threshold
 from .verification import DEFAULT_D_E, run_all_checks
 
 __all__ = ["main", "build_parser"]
 
 _MODEL_HELP = "channel model: equal, depolarizing, half, or explicit:<value>"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -76,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="attacks per equivalence suite and per grid point of the entropy suites (default 100)",
     )
-    verify.add_argument("--seed", type=int, required=True, help="nonnegative 64-bit RNG seed")
+    verify.add_argument("--seed", type=int, required=True, help="nonnegative integer RNG seed")
     verify.add_argument(
         "--d-e",
         default=",".join(str(d) for d in DEFAULT_D_E),
@@ -87,34 +78,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.12g}"
+
+
+def _render(rows: Sequence[dict], fmt: str) -> str:
+    """CSV with the first row's keys as header, or JSON: an object for one row, else a list."""
+    if fmt == "json":
+        return json.dumps(rows[0] if len(rows) == 1 else rows, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(rows[0])
+    writer.writerows([_cell(value) for value in row.values()] for row in rows)
     return buf.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-REPORT_HEADER = ("Q", "Q_X", "epsilon", "delta", "s_tau_bound", "branch", "g", "r")
-
-
-def _report_row(report: KeyRateReport) -> list[str]:
-    values = report.as_dict()
-    return [
-        value if isinstance(value, str) else _fmt(value)
-        for value in (values[column] for column in REPORT_HEADER)
-    ]
-
-
-def _render_reports(reports: Sequence[KeyRateReport], fmt: str) -> str:
-    if fmt == "json":
-        payload = [r.as_dict() for r in reports]
-        return _json_text(payload if len(payload) != 1 else payload[0])
-    return _csv_text(REPORT_HEADER, [_report_row(r) for r in reports])
 
 
 def _parse_d_e(text: str) -> tuple[int, ...]:
@@ -125,55 +107,22 @@ def _parse_d_e(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse ancilla dimension list {text!r}") from None
 
 
-def _run(args: argparse.Namespace) -> tuple[str, bool]:
-    """Produce the rendered output text and whether all checks passed."""
-    if args.command == "rate":
-        model = QxModel.parse(args.qx_model)
-        return _render_reports([key_rate(args.q, model)], args.format), True
-
-    if args.command == "threshold":
-        model = QxModel.parse(args.qx_model)
-        value = noise_threshold(model, tol=args.tol)
-        if args.format == "json":
-            payload = {"model": str(model), "threshold": value, "threshold_percent": 100.0 * value}
-            return _json_text(payload), True
-        return (
-            _csv_text(
-                ("model", "threshold", "threshold_percent"),
-                [[str(model), _fmt(value), _fmt(100.0 * value)]],
-            ),
-            True,
-        )
-
-    if args.command == "curve":
-        model = QxModel.parse(args.qx_model)
-        reports = keyrate_curve(args.q_min, args.q_max, args.steps, model)
-        return _render_reports(reports, args.format), True
-
+def _rows(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    """The command's output rows and whether all checks passed."""
     if args.command == "verify":
         if args.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {args.seed}")
         reports = run_all_checks(args.trials, args.seed, _parse_d_e(args.d_e))
-        ok = all(r.passed for r in reports)
-        if args.format == "json":
-            payload = [
-                {
-                    "check": r.check,
-                    "trials": r.trials,
-                    "max_residual": r.max_residual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in reports
-            ]
-            return _json_text(payload), ok
-        rows = [
-            [r.check, str(r.trials), _fmt(r.max_residual), _fmt(r.tolerance), str(r.passed).lower()]
-            for r in reports
-        ]
-        return _csv_text(("check", "trials", "max_residual", "tolerance", "passed"), rows), ok
-
-    raise ValueError(f"unknown command {args.command!r}")
+        return [dataclasses.asdict(r) for r in reports], all(r.passed for r in reports)
+    model = QxModel.parse(args.qx_model)
+    if args.command == "threshold":
+        value = noise_threshold(model, tol=args.tol)
+        return [{"model": str(model), "threshold": value, "threshold_percent": 100.0 * value}], True
+    if args.command == "rate":
+        reports = [key_rate(args.q, model)]
+    else:
+        reports = keyrate_curve(args.q_min, args.q_max, args.steps, model)
+    return [r.as_dict() for r in reports], True
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -191,15 +140,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        text, ok = _run(args)
-        _emit(text, args.output)
+        rows, ok = _rows(args)
+        _emit(_render(rows, args.format), args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ThresholdAtBoundary, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ThresholdAtBoundary, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

@@ -46,7 +46,12 @@ __all__ = [
 MAIN_BRANCH = "main"
 FLOOR_BRANCH = "floor"
 
-_MODEL_KINDS = ("equal", "depolarizing", "half", "explicit")
+# Q_X as a function of Q for each model kind that takes no value
+_FIXED_MODELS = {
+    "equal": lambda q: q,
+    "depolarizing": lambda q: 2.0 * q * (1.0 - q),
+    "half": lambda q: 0.5 * q,
+}
 
 
 @dataclass(frozen=True)
@@ -55,34 +60,34 @@ class QxModel:
 
     ``equal`` sets Q_X = Q, ``depolarizing`` Q_X = 2Q(1-Q), ``half``
     Q_X = Q/2, and ``explicit`` pins Q_X to a fixed value in [0, 1/2]
-    regardless of Q.
+    regardless of Q; only ``explicit`` takes a value.
     """
 
     kind: str
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {_MODEL_KINDS}")
         value = float(self.value)
-        if self.kind == "explicit" and not 0.0 <= value <= 0.5:
-            raise ValueError(f"explicit X error rate {value} outside [0, 0.5]")
+        if self.kind == "explicit":
+            if not 0.0 <= value <= 0.5:
+                raise ValueError(f"explicit X error rate {value} outside [0, 0.5]")
+        elif self.kind not in _FIXED_MODELS:
+            kinds = (*_FIXED_MODELS, "explicit")
+            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {kinds}")
+        elif value != 0.0:
+            raise ValueError(f"model {self.kind!r} takes no value, got {value}")
         object.__setattr__(self, "value", value)
 
     def q_x(self, q: float) -> float:
-        if self.kind == "equal":
-            return q
-        if self.kind == "depolarizing":
-            return 2.0 * q * (1.0 - q)
-        if self.kind == "half":
-            return 0.5 * q
-        return self.value
+        if self.kind == "explicit":
+            return self.value
+        return _FIXED_MODELS[self.kind](q)
 
     @classmethod
     def parse(cls, text: str) -> "QxModel":
         """Parse ``equal``, ``depolarizing``, ``half``, or ``explicit:<value>``."""
         text = text.strip().lower()
-        if text in ("equal", "depolarizing", "half"):
+        if text in _FIXED_MODELS:
             return cls(text)
         if text.startswith("explicit:"):
             try:
@@ -91,7 +96,7 @@ class QxModel:
                 raise ValueError(f"cannot parse X error rate in {text!r}") from None
             return cls("explicit", value)
         raise ValueError(
-            f"unknown model {text!r}; expected equal, depolarizing, half, or explicit:<value>"
+            f"unknown model {text!r}; expected {', '.join(_FIXED_MODELS)}, or explicit:<value>"
         )
 
     def __str__(self) -> str:

@@ -4,6 +4,7 @@ Everything except the two entry-point smoke tests drives ``main(argv)`` in
 process for speed. The smoke tests run a child interpreter on the same
 ``sqkd`` package the suite imported, so neither needs an installed package.
 """
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,8 @@ from sqkd.verification import CHECK_NAMES
 
 REPORT_HEADER = "Q,Q_X,epsilon,delta,s_tau_bound,branch,g,r"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# sha256 prefixes of every rate/threshold/curve output the benchmark checks
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +100,17 @@ def test_curve_json_matches_library(capsys):
     assert isinstance(payload, list) and len(payload) == 3
     assert payload[0]["r"] == 1.0
     assert payload[0] == key_rate(0.0, EQUAL).as_dict()
+
+
+def test_keyrate_outputs_match_recorded_digests(capsys):
+    digests = json.loads(DIGESTS.read_text())
+    assert digests
+    mismatched = []
+    for command, expected in digests.items():
+        code, out, _ = run_cli(capsys, *command.split())
+        if code != 0 or hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] != expected:
+            mismatched.append(command)
+    assert not mismatched, f"{len(mismatched)} of {len(digests)} differ, first: {mismatched[0]}"
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

@@ -55,6 +55,13 @@ def test_qx_model_parsing_round_trips():
             QxModel.parse(bad)
     with pytest.raises(ValueError):
         explicit(-0.1)
+    # only explicit takes a value; another kind would ignore it
+    for kind in ("equal", "depolarizing", "half"):
+        with pytest.raises(ValueError):
+            QxModel(kind, 0.3)
+    with pytest.raises(ValueError):
+        QxModel("half", float("nan"))
+    assert QxModel("half", 0.0) == HALF
 
 
 def test_qx_model_values():
