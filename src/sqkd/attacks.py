@@ -19,8 +19,9 @@ between them:
   isometry (:func:`build_rewind`) converts a restricted attack into this
   form with exactly the same joint state on (A1, A2, B, E).
 
-B's measure-and-resend is modeled as a CNOT onto a private register, so all
-outputs are exact density operators with no sampling noise.
+B's measure-and-resend is modeled as a CNOT onto a private register, so every
+simulated round stays pure: the simulators carry its state vector and return
+its projector, an exact density operator with no sampling noise.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .linalg import (
     DensityOperator,
     SubsystemLayout,
     _apply_local,
+    _check_integer,
     _check_range,
     _contract,
     basis_state,
@@ -95,7 +97,7 @@ def _frozen_unitary(u: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def _check_d_e(d_e: int, minimum: int = 1) -> int:
-    d_e = int(d_e)
+    d_e = _check_integer("ancilla dimension", d_e)
     if not minimum <= d_e <= _MAX_D_E:
         raise ValueError(f"ancilla dimension {d_e} outside [{minimum}, {_MAX_D_E}]")
     return d_e
@@ -201,39 +203,29 @@ def alice_states() -> list[np.ndarray]:
     return [KET0.copy(), KET1.copy(), PLUS.copy(), MINUS.copy()]
 
 
-def bob_operation(state: DensityOperator, op: str) -> DensityOperator:
-    """Apply B's operation, appending their private register B after T.
+def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.ndarray, SubsystemLayout]:
+    """Apply B's operation to a pure state, appending their private register B after T.
 
     Measure-and-resend is the CNOT purification: the transit qubit's Z
     value is copied coherently onto a fresh B register, which decoheres T
     in the Z basis exactly like a projective measurement followed by
     resending the outcome. Reflect leaves the state untouched apart from
-    the appended |0> register.
+    the appended |0> register. Returns the new state vector and its layout.
     """
     if op not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {op!r}")
-    labels = state.layout.labels
-    if "T" not in labels:
-        raise ValueError(f"input has no T factor: {labels}")
-    if "B" in labels:
+    if "T" not in lay.labels:
+        raise ValueError(f"input has no T factor: {lay.labels}")
+    if "B" in lay.labels:
         raise ValueError("input already has a B register")
-    dims = state.layout.dims
-    n = len(dims)
-    t_pos = state.layout.position("T")
-    factors = state.layout.factors
-    new_layout = SubsystemLayout(factors[: t_pos + 1] + (("B", 2),) + factors[t_pos + 1 :])
+    t_pos = lay.position("T")
+    new_layout = SubsystemLayout(lay.factors[: t_pos + 1] + (("B", 2),) + lay.factors[t_pos + 1 :])
     # copy[t, b]: B's Z value given T's, a copy of it or always 0
     copy = np.eye(2) if op == MEASURE_RESEND else np.array([[1.0, 0.0], [1.0, 0.0]])
-
-    def on_axes(first: int) -> np.ndarray:
-        shape = [1] * (2 * n + 2)
-        shape[first] = shape[first + 1] = 2
-        return copy.reshape(shape)
-
-    # B's row and column axes go in right after T's
-    rho = np.expand_dims(state.matrix.reshape(dims * 2), (t_pos + 1, n + t_pos + 2))
-    out = rho * on_axes(t_pos) * on_axes(n + 1 + t_pos)
-    return DensityOperator(out.reshape(new_layout.dim, new_layout.dim), new_layout)
+    # B's axis goes in right after T's
+    left = math.prod(lay.dims[:t_pos])
+    out = np.reshape(psi, (left, 2, 1, lay.dim // (2 * left))) * copy.reshape(1, 2, 2, 1)
+    return out.reshape(-1), new_layout
 
 
 def _ancilla_pair(attack: RestrictedAttack) -> tuple[np.ndarray, np.ndarray]:
@@ -335,11 +327,12 @@ def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAtt
 
 
 def _two_way_round(
-    forward_state: np.ndarray, lay: SubsystemLayout, u_rev: np.ndarray, bob_op: str
+    forward_state: np.ndarray, lay: SubsystemLayout, u_rev: np.ndarray, bob_op: str, t_label: str = "T"
 ) -> DensityOperator:
-    """B's operation, then the reverse unitary on (T, E), after the forward channel."""
-    rho = bob_operation(DensityOperator.from_state(forward_state, lay), bob_op)
-    return DensityOperator(_apply_local(u_rev, rho.matrix, rho.layout, ["T", "E"]), rho.layout)
+    """B's operation, then the reverse unitary on (T, E); the returning T is labeled ``t_label``."""
+    psi, lay = bob_operation(forward_state, lay, bob_op)
+    psi = _apply_local(u_rev, psi, lay, ["T", "E"])
+    return DensityOperator.from_state(psi, lay.relabel({"T": t_label}))
 
 
 def simulate_sqkd(attack, alice_state: np.ndarray, bob_op: str) -> DensityOperator:
@@ -369,7 +362,7 @@ def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
     # the Bell pair's A1 = a branch sends |a> into the forward map
     psi = forward.T.reshape(-1) / math.sqrt(2.0)
     lay = layout(("A1", 2), ("T", 2), ("E", attack.d_e))
-    return _two_way_round(psi, lay, u_rev, bob_op).relabel({"T": "A2"})
+    return _two_way_round(psi, lay, u_rev, bob_op, t_label="A2")
 
 
 def build_rewind(attack: RestrictedAttack) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_range, binary_entropy
+from .linalg import _check_integer, _check_range, binary_entropy
 
 __all__ = [
     "MAIN_BRANCH",
@@ -249,8 +249,8 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
     only one, then bisects that bracket down to width ``tol`` and returns
     its midpoint; a ``tol`` below the float spacing there stops the
     bisection at two adjacent floats instead. Raises
-    :class:`ThresholdAtBoundary` if the rate never goes negative and
-    ValueError if r(0) <= 0 or monotonicity fails.
+    :class:`ThresholdAtBoundary` if the rate never goes negative, ArithmeticError
+    if r(0) <= 0 (no threshold exists) and ValueError if monotonicity fails.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -258,7 +258,7 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
     grid = [i * _GRID_STEP for i in range(steps + 1)]
     rates = [key_rate(q, model).r for q in grid]
     if rates[0] <= 0.0:
-        raise ValueError(f"key rate at Q=0 is {rates[0]}, not positive")
+        raise ArithmeticError(f"key rate at Q=0 is {rates[0]}, not positive")
     for i in range(steps):
         if rates[i + 1] > rates[i] + _MONOTONE_SLACK:
             raise ValueError(
@@ -286,7 +286,7 @@ def keyrate_curve(q_min: float, q_max: float, steps: int, model: QxModel) -> lis
     q_max = _check_range("q_max", q_max, 0.0, 0.5)
     if not q_min < q_max:
         raise ValueError(f"empty range: q_min={q_min} must be below q_max={q_max}")
-    steps = int(steps)
+    steps = _check_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"steps={steps} must be at least 2")
     return [key_rate(float(q), model) for q in np.linspace(q_min, q_max, steps)]

@@ -140,9 +140,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.layout.dim
 
-    def relabel(self, mapping: dict[str, str]) -> "DensityOperator":
-        return DensityOperator(self.matrix, self.layout.relabel(mapping))
-
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in the given dimension."""
@@ -279,6 +276,13 @@ def _check_range(name: str, value: float, low: float, high: float) -> float:
     if not low - 1e-12 <= value <= high + 1e-12:
         raise ValueError(f"{name}={value} outside [{low}, {high}]")
     return low if value < low else high if value > high else value
+
+
+def _check_integer(name: str, value: float) -> int:
+    """``value`` as an int; a fractional, infinite or NaN value raises ValueError."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name}={value} is not an integer")
+    return int(value)
 
 
 def binary_entropy(x: float) -> float:

@@ -46,6 +46,7 @@ from .keyrate import (
     resend_entropy_bound,
 )
 from .linalg import (
+    _check_integer,
     conditional_entropy,
     hermitian_eigen,
     measure_register,
@@ -132,7 +133,7 @@ def _report(check: str, trials: int, residuals: Iterable[float], tolerance: floa
 
 
 def _check_trials(trials: int) -> int:
-    trials = int(trials)
+    trials = _check_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return trials

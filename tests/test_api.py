@@ -1,9 +1,15 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and sizes are integers."""
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sqkd
+from sqkd.attacks import random_collective_attack
+from sqkd.keyrate import EQUAL, keyrate_curve
+from sqkd.verification import check_lemma_trd
 
 
 def test_public_names_resolve():
@@ -22,3 +28,20 @@ def test_public_names_resolve():
             assert hasattr(mod, alias.name), f"sqkd.{node.module}.{alias.name}"
             assert alias.name in getattr(mod, "__all__", [alias.name]), f"sqkd.{node.module}.{alias.name}"
             assert hasattr(sqkd, alias.asname or alias.name)
+
+
+@pytest.mark.parametrize(
+    "size_of",
+    [
+        lambda n: random_collective_attack(n, np.random.default_rng(0)).d_e,
+        lambda n: check_lemma_trd(n, 1).trials,
+        lambda n: len(keyrate_curve(0.0, 0.1, n, EQUAL)),
+    ],
+    ids=["d_e", "trials", "steps"],
+)
+def test_non_integral_sizes_are_rejected(size_of):
+    # integral floats and numpy integers are sizes; anything with a fraction is not
+    assert size_of(3.0) == size_of(np.int64(3)) == 3
+    for bad in (2.5, 2.7, 3.9, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not an integer"):
+            size_of(bad)

@@ -136,9 +136,9 @@ def test_forward_isometry_entries():
 
 def test_bob_operation_measure_resend_copies_key_bit():
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    rho = DensityOperator.from_state(np.kron(plus, basis_state(2, 0)), layout(("T", 2), ("E", 2)))
-    out = bob_operation(rho, MEASURE_RESEND)
-    assert out.layout.labels == ("T", "B", "E")
+    psi, lay = bob_operation(np.kron(plus, basis_state(2, 0)), layout(("T", 2), ("E", 2)), MEASURE_RESEND)
+    assert lay.labels == ("T", "B", "E")
+    out = DensityOperator.from_state(psi, lay)
     # the purified measurement leaves (T, B) in a maximally entangled state ...
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = math.sqrt(0.5)
@@ -149,43 +149,42 @@ def test_bob_operation_measure_resend_copies_key_bit():
 
 def test_bob_operation_reflect_appends_zero():
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    rho = DensityOperator.from_state(np.kron(plus, basis_state(2, 0)), layout(("T", 2), ("E", 2)))
-    out = bob_operation(rho, REFLECT)
-    assert out.layout.labels == ("T", "B", "E")
+    psi, lay = bob_operation(np.kron(plus, basis_state(2, 0)), layout(("T", 2), ("E", 2)), REFLECT)
+    assert lay.labels == ("T", "B", "E")
+    out = DensityOperator.from_state(psi, lay)
     assert np.allclose(partial_trace(out, {"T"}).matrix, np.outer(plus, plus.conj()))
     assert np.allclose(partial_trace(out, {"B"}).matrix, np.diag([1.0, 0.0]))
 
 
 def test_bob_operation_insert_position_and_errors():
     psi = np.kron(np.kron(basis_state(2, 0), basis_state(2, 0)), basis_state(3, 0))
-    rho = DensityOperator.from_state(psi, layout(("A1", 2), ("T", 2), ("E", 3)))
-    out = bob_operation(rho, REFLECT)
-    assert out.layout.labels == ("A1", "T", "B", "E")
+    lay = layout(("A1", 2), ("T", 2), ("E", 3))
+    out, out_layout = bob_operation(psi, lay, REFLECT)
+    assert out_layout.labels == ("A1", "T", "B", "E")
     with pytest.raises(ValueError):
-        bob_operation(out, REFLECT)  # already has a B register
-    no_t = DensityOperator(np.eye(2) / 2, layout(("A1", 2)))
+        bob_operation(out, out_layout, REFLECT)  # already has a B register
     with pytest.raises(ValueError):
-        bob_operation(no_t, MEASURE_RESEND)
+        bob_operation(basis_state(2, 0), layout(("A1", 2)), MEASURE_RESEND)
     with pytest.raises(ValueError):
-        bob_operation(rho, "teleport")
+        bob_operation(psi, lay, "teleport")
 
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
-def bob_operation_by_kron(state, op):
+def bob_operation_by_kron(matrix, lay, op):
     """Reference: append |0><0| on B by kron, move B after T, then CNOT T -> B."""
-    appended = np.kron(state.matrix, np.diag([1.0, 0.0]))
-    factors = state.layout.factors + (("B", 2),)
+    appended = np.kron(matrix, np.diag([1.0, 0.0]))
+    factors = lay.factors + (("B", 2),)
     n = len(factors)
-    t_pos = state.layout.position("T")
+    t_pos = lay.position("T")
     order = tuple(list(range(t_pos + 1)) + [n - 1] + list(range(t_pos + 1, n - 1)))
     new_layout = SubsystemLayout(tuple(factors[i] for i in order))
-    matrix = permute_factors(appended, tuple(d for _, d in factors), order)
+    out = permute_factors(appended, tuple(d for _, d in factors), order)
     if op == MEASURE_RESEND:
         cnot = embed_operator(CNOT, new_layout, ["T", "B"])
-        matrix = cnot @ matrix @ cnot.conj().T
-    return new_layout, matrix
+        out = cnot @ out @ cnot.conj().T
+    return new_layout, out
 
 
 @pytest.mark.parametrize(
@@ -201,18 +200,52 @@ def bob_operation_by_kron(state, op):
 def test_bob_operation_matches_kron_construction(factors):
     rng = np.random.default_rng(len(factors) * 10 + factors[-1][1])
     lay = layout(*factors)
-    # a rank-2 mixed state, so coherences between T values are nonzero
-    rho = np.zeros((lay.dim, lay.dim), dtype=complex)
-    for weight in (0.7, 0.3):
-        psi = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
-        psi /= np.linalg.norm(psi)
-        rho += weight * np.outer(psi, psi.conj())
-    state = DensityOperator(rho, lay)
+    # a random pure state, so coherences between T values are nonzero
+    psi = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+    psi /= np.linalg.norm(psi)
     for op in (MEASURE_RESEND, REFLECT):
-        expected_layout, expected = bob_operation_by_kron(state, op)
-        out = bob_operation(state, op)
-        assert out.layout == expected_layout
-        assert np.max(np.abs(out.matrix - expected)) < EXACT
+        expected_layout, expected = bob_operation_by_kron(np.outer(psi, psi.conj()), lay, op)
+        out, out_layout = bob_operation(psi, lay, op)
+        assert out_layout == expected_layout
+        assert np.max(np.abs(np.outer(out, out.conj()) - expected)) < EXACT
+
+
+def forward_map_by_kron(attack):
+    """Reference forward map T -> T (x) E, the ancilla starting in |0>."""
+    if isinstance(attack, CollectiveAttack):
+        return attack.u_forward @ np.kron(np.eye(2), basis_state(attack.d_e, 0).reshape(-1, 1))
+    # the normal form's two-dimensional ancilla sits in the first two levels of E
+    return np.kron(np.eye(2), np.eye(attack.d_e)[:, :2]) @ forward_isometry(attack)
+
+
+def two_way_round_by_kron(attack, forward_state, lay, op):
+    """Reference round: projector of the forward state, B by kron, reverse unitary embedded."""
+    u_rev = attack.u_reverse if isinstance(attack, CollectiveAttack) else attack.u
+    out_layout, rho = bob_operation_by_kron(np.outer(forward_state, forward_state.conj()), lay, op)
+    u_full = embed_operator(u_rev, out_layout, ["T", "E"])
+    return out_layout, u_full @ rho @ u_full.conj().T
+
+
+@pytest.mark.parametrize("d_e", [2, 3, 4, 8])
+def test_two_way_round_matches_kron_construction(d_e):
+    rng = np.random.default_rng(300 + d_e)
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    for attack in (random_collective_attack(d_e, rng), random_restricted_attack(d_e, rng)):
+        forward = forward_map_by_kron(attack)
+        for op in (MEASURE_RESEND, REFLECT):
+            for state in alice_states():
+                expected_layout, expected = two_way_round_by_kron(
+                    attack, forward @ state, layout(("T", 2), ("E", d_e)), op
+                )
+                out = simulate_sqkd(attack, state, op)
+                assert out.layout == expected_layout
+                assert np.max(np.abs(out.matrix - expected)) < EXACT
+            expected_layout, expected = two_way_round_by_kron(
+                attack, np.kron(np.eye(2), forward) @ bell, layout(("A1", 2), ("T", 2), ("E", d_e)), op
+            )
+            out = simulate_entangled_sqkd(attack, op)
+            assert out.layout == expected_layout.relabel({"T": "A2"})
+            assert np.max(np.abs(out.matrix - expected)) < EXACT
 
 
 def test_simulate_sqkd_identity_attack():

@@ -187,6 +187,14 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_threshold_without_positive_rate_exits_one(capsys):
+    # explicit:0.5 is a valid model whose rate is 0 at Q=0, so no threshold exists
+    code, out, err = run_cli(capsys, "threshold", "--qx-model", "explicit:0.5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: key rate at Q=0 is 0.0, not positive\n"
+
+
 def test_unwritable_output_exits_one(capsys, tmp_path):
     target = tmp_path / "missing" / "out.csv"
     code = main(["rate", "--q", "0", "--qx-model", "equal", "--output", str(target)])

@@ -216,6 +216,14 @@ def test_noise_threshold_validation():
         noise_threshold(EQUAL, tol=-1e-6)
 
 
+def test_noise_threshold_without_a_positive_rate_raises_arithmetic_error():
+    # r(0) = 1 - h(Q_X) is positive for every explicit Q_X below 1/2 and 0 at
+    # 1/2: a valid model with no threshold, not a usage error
+    with pytest.raises(ArithmeticError, match=r"key rate at Q=0 is 0\.0, not positive"):
+        noise_threshold(explicit(0.5))
+    assert 0.0 < noise_threshold(explicit(0.4999)) < 1e-6
+
+
 class _OscillatingModel(QxModel):
     """A pathological model whose rate is not monotone in the noise level."""
 

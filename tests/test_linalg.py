@@ -251,7 +251,7 @@ def test_trace_distance_rejects_mismatched_layouts():
     with pytest.raises(ValueError):
         trace_distance(te, et)
     with pytest.raises(ValueError):
-        trace_distance(te, te.relabel({"T": "A1"}))
+        trace_distance(te, DensityOperator(te.matrix, te.layout.relabel({"T": "A1"})))
 
 
 def test_trace_distance_triangle_inequality():
