@@ -6,6 +6,12 @@ factor, so partial traces and measurements address registers by label
 instead of by axis arithmetic. Everything here is a pure function of its
 inputs; RNG state is always passed explicitly.
 
+States are validated once, where they enter: the public
+:class:`DensityOperator` constructor and :meth:`DensityOperator.from_state`
+check every invariant. States derived from an already-valid one by
+:func:`partial_trace` or :func:`measure_register` are built without
+re-checking, since both maps preserve Hermiticity, positivity and trace.
+
 Dimensions are small by design (full systems never exceed 64), so all
 operations use dense algebra with no attempt at sparsity.
 """
@@ -47,7 +53,8 @@ class SubsystemLayout:
 
     ``factors`` is a tuple of (label, dimension) pairs in tensor order.
     Labels are drawn from :data:`VALID_LABELS` and must be unique within
-    one layout.
+    one layout. Dimensions must be integral (integral floats and numpy
+    integers are stored as ``int``) and positive.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -56,11 +63,15 @@ class SubsystemLayout:
         labels = [lab for lab, _ in self.factors]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in layout: {labels}")
+        factors = []
         for lab, dim in self.factors:
             if lab not in VALID_LABELS:
                 raise ValueError(f"unknown label {lab!r}; expected one of {VALID_LABELS}")
-            if int(dim) < 1:
+            dim = _check_integer(f"dimension of {lab!r}", dim)
+            if dim < 1:
                 raise ValueError(f"factor {lab!r} has non-positive dimension {dim}")
+            factors.append((lab, dim))
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def dim(self) -> int:
@@ -94,16 +105,21 @@ class SubsystemLayout:
 
 def layout(*factors: tuple[str, int]) -> SubsystemLayout:
     """Convenience constructor: ``layout(("T", 2), ("E", 4))``."""
-    return SubsystemLayout(tuple((str(lab), int(d)) for lab, d in factors))
+    return SubsystemLayout(tuple((str(lab), d) for lab, d in factors))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A Hermitian, positive-semidefinite, unit-trace matrix with a layout.
 
-    Construction validates all three invariants (Hermiticity and trace
-    entrywise within 1e-10, eigenvalues >= -1e-10) and stores a read-only
-    copy of the matrix, so instances are safe to share.
+    The public constructor and :meth:`from_state` validate all three
+    invariants (Hermiticity and trace entrywise within 1e-10, eigenvalues
+    >= -1e-10) and store a read-only copy of the matrix, so instances are
+    safe to share. The eigenvalue bound is tested by one Cholesky
+    factorization of rho + 1e-10 I, which succeeds exactly when every
+    eigenvalue of rho is >= -1e-10. States that :func:`partial_trace` and
+    :func:`measure_register` derive from a valid one are built by the
+    private :meth:`_trusted`, which checks nothing.
     """
 
     matrix: np.ndarray
@@ -123,10 +139,21 @@ class DensityOperator:
         tr = np.trace(m)
         if not (abs(tr.real - 1.0) <= TOL.trace_one and abs(tr.imag) <= TOL.trace_one):
             raise ValueError(f"density operator trace {tr} is not 1 within tolerance")
-        if not np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -TOL.psd:
-            raise ValueError("density operator has a negative eigenvalue beyond tolerance")
+        try:
+            np.linalg.cholesky((m + m.conj().T) / 2 + TOL.psd * np.eye(m.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError("density operator has a negative eigenvalue beyond tolerance") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, lay: SubsystemLayout) -> "DensityOperator":
+        """Wrap a matrix known to be a density operator on ``lay``, without checks."""
+        rho = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "layout", lay)
+        return rho
 
     @classmethod
     def from_state(cls, psi: np.ndarray, lay: SubsystemLayout) -> "DensityOperator":
@@ -143,6 +170,7 @@ class DensityOperator:
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in the given dimension."""
+    dim = _check_integer("dimension", dim)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=complex)
@@ -182,26 +210,18 @@ def _contract(op_tensor: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarr
 
 
 def _apply_local(
-    op: np.ndarray, x: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...] | list[str]
+    op: np.ndarray, psi: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...] | list[str]
 ) -> np.ndarray:
-    """Apply an operator on the named factors without forming the full-space operator.
+    """``op psi`` for a state vector, without forming the full-space operator.
 
     ``op`` acts on the tensor product of the listed factors in the listed
-    order, as in :func:`embed_operator`. A state vector ``x`` becomes
-    ``op x``; a square matrix ``x`` becomes ``op x op^dagger``, with ``op``
-    contracted into the row axes and its conjugate into the column axes of
-    ``x`` reshaped to the layout's factor dimensions.
+    order, as in :func:`embed_operator`; it is contracted into those axes
+    of ``psi`` reshaped to the layout's factor dimensions.
     """
     positions = [lay.position(lab) for lab in labels]
     dims = lay.dims
-    sub = tuple(dims[p] for p in positions)
-    op_tensor = np.asarray(op, dtype=complex).reshape(sub * 2)
-    if x.ndim == 1:
-        return _contract(op_tensor, x.reshape(dims), positions).reshape(x.shape)
-    n = len(dims)
-    t = _contract(op_tensor, x.reshape(dims * 2), positions)
-    t = _contract(op_tensor.conj(), t, [n + p for p in positions])
-    return t.reshape(x.shape)
+    op_tensor = np.asarray(op, dtype=complex).reshape(tuple(dims[p] for p in positions) * 2)
+    return _contract(op_tensor, psi.reshape(dims), positions).reshape(psi.shape)
 
 
 def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[str]) -> DensityOperator:
@@ -229,7 +249,7 @@ def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[
     reduced = np.einsum("".join(row + col) + "->" + "".join(out), t)
     kept = tuple(f for f in factors if f[0] in keep_set)
     d = math.prod(dim for _, dim in kept)
-    return DensityOperator(reduced.reshape(d, d), SubsystemLayout(kept))
+    return DensityOperator._trusted(reduced.reshape(d, d), SubsystemLayout(kept))
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
@@ -329,9 +349,6 @@ def conditional_entropy(
     return s_ab - von_neumann_entropy(partial_trace(rho, b_set))
 
 
-_PAULIS = {"Z": np.diag([1.0, -1.0]), "X": np.array([[0.0, 1.0], [1.0, 0.0]])}
-
-
 def measure_register(rho: DensityOperator, label: str, basis: str) -> DensityOperator:
     """Non-selective measurement (pinching) of one qubit register.
 
@@ -339,14 +356,25 @@ def measure_register(rho: DensityOperator, label: str, basis: str) -> DensityOpe
     projectors of the Z or X basis, computed as (rho + S rho S) / 2 with S
     the Pauli operator of that basis on the register; the register becomes
     classical (diagonal) in that basis. Trace-preserving and idempotent.
+    On the matrix reshaped to the factor dimensions, S rho S is a sign
+    flip (Z) or an index flip (X) of the register's row and column axes.
     """
-    if rho.layout.dim_of(label) != 2:
+    lay = rho.layout
+    if lay.dim_of(label) != 2:
         raise ValueError(f"register {label!r} is not a qubit")
-    pauli = _PAULIS.get(basis.upper())
-    if pauli is None:
+    basis_name = basis.upper() if isinstance(basis, str) else None
+    if basis_name not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    out = 0.5 * (rho.matrix + _apply_local(pauli, rho.matrix, rho.layout, [label]))
-    return DensityOperator(out, rho.layout)
+    n = len(lay.factors)
+    axes = (lay.position(label), n + lay.position(label))
+    t = rho.matrix.reshape(lay.dims * 2)
+    if basis_name == "Z":
+        sign_shape = [1] * (2 * n)
+        sign_shape[axes[0]] = sign_shape[axes[1]] = 2
+        conjugated = t * np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(sign_shape)
+    else:
+        conjugated = np.flip(t, axes)
+    return DensityOperator._trusted((0.5 * (t + conjugated)).reshape(lay.dim, lay.dim), lay)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -355,6 +383,7 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     QR decomposition of a complex Gaussian matrix with the R diagonal
     phase-normalized, which makes the distribution exactly Haar.
     """
+    dim = _check_integer("dimension", dim)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)

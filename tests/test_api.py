@@ -9,6 +9,7 @@ import pytest
 import sqkd
 from sqkd.attacks import random_collective_attack
 from sqkd.keyrate import EQUAL, keyrate_curve
+from sqkd.linalg import basis_state, haar_random_unitary, layout
 from sqkd.verification import check_lemma_trd
 
 
@@ -36,8 +37,11 @@ def test_public_names_resolve():
         lambda n: random_collective_attack(n, np.random.default_rng(0)).d_e,
         lambda n: check_lemma_trd(n, 1).trials,
         lambda n: len(keyrate_curve(0.0, 0.1, n, EQUAL)),
+        lambda n: layout(("T", n), ("E", 2)).dims[0],
+        lambda n: len(basis_state(n, 1)),
+        lambda n: len(haar_random_unitary(n, np.random.default_rng(0))),
     ],
-    ids=["d_e", "trials", "steps"],
+    ids=["d_e", "trials", "steps", "layout", "basis_state", "haar_random_unitary"],
 )
 def test_non_integral_sizes_are_rejected(size_of):
     # integral floats and numpy integers are sizes; anything with a fraction is not

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kron_reference import permute_factors
+from sqkd.tolerances import DEFAULT as TOL
 from sqkd.linalg import (
     VALID_LABELS,
     DensityOperator,
@@ -66,6 +67,10 @@ def test_layout_validation():
         layout(("T", 0))
     with pytest.raises(ValueError):
         layout(("T", 2)).position("E")
+    with pytest.raises(ValueError, match="not an integer"):
+        SubsystemLayout((("T", 2.5),))
+    # integral dimensions are stored as int, whatever their type
+    assert all(type(d) is int for d in SubsystemLayout((("T", 2.0), ("E", np.int64(3)))).dims)
 
 
 def test_density_operator_accepts_valid_state():
@@ -88,6 +93,36 @@ def test_density_operator_rejects_bad_matrices():
         DensityOperator(qubit_rho(PLUS), layout(("T", 2), ("B", 2)))  # dim mismatch
     with pytest.raises(ValueError):
         DensityOperator.from_state(np.array([1.0, 1.0]), lay)  # unnormalized
+
+
+def accepted(m, lay):
+    try:
+        DensityOperator(m, lay)
+    except ValueError:
+        return False
+    return True
+
+
+def test_psd_gate_matches_eigenvalue_reference():
+    # U diag(lam) U^dagger with 1, 2 or n - 1 positive eigenvalues (a PSD part
+    # of rank 1, 2 or full) and one just inside or just beyond -psd; the gate
+    # must decide exactly as the eigensolve does
+    rng = np.random.default_rng(31)
+    cases = [(np.diag([1.5, -0.5]).astype(complex), False)]
+    for n in (2, 8, 32, 64):
+        for rank in sorted({1, min(2, n - 1), n - 1}):
+            for factor in (0.5, 0.99, 1.01, 2.0):
+                lam = np.zeros(n)
+                lam[-1] = -factor * TOL.psd
+                positive = rng.random(rank) + 0.1
+                lam[:rank] = positive / positive.sum() * (1.0 - lam[-1])
+                u = haar_random_unitary(n, rng)
+                m = (u * lam) @ u.conj().T
+                cases.append(((m + m.conj().T) / 2, factor < 1.0))
+    for m, expected in cases:
+        reference = np.linalg.eigvalsh(m).min() >= -TOL.psd
+        lay = layout(("E", m.shape[0]))
+        assert accepted(m, lay) == reference == expected
 
 
 def test_basis_state():
@@ -167,9 +202,6 @@ def test_apply_local_matches_embedded_operator():
         full = embed_operator(op, lay, labels)
         v = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
         assert np.max(np.abs(_apply_local(op, v, lay, labels) - full @ v)) < 1e-12
-        m = random_matrix(rng, lay.dim)
-        expected = full @ m @ full.conj().T
-        assert np.max(np.abs(_apply_local(op, m, lay, labels) - expected)) < 1e-11
 
 
 def test_partial_trace_bell_halves():
@@ -358,6 +390,28 @@ def test_measure_register_leaves_other_factors():
         measure_register(rho, "E", "Z")  # not a qubit
     with pytest.raises(ValueError):
         measure_register(rho, "T", "Y")
+    with pytest.raises(ValueError):
+        measure_register(rho, "T", 1)
+    assert np.array_equal(measure_register(rho, "T", "z").matrix, pinched.matrix)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1))
+def test_derived_states_are_valid_read_only_states(seed):
+    rng = np.random.default_rng(seed)
+    lay = random_layout(rng)
+    g = random_matrix(rng, lay.dim)[:, : int(rng.integers(1, lay.dim + 1))]
+    rho = DensityOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real, lay)
+    keep = rng.choice(lay.labels, size=int(rng.integers(1, len(lay.labels) + 1)), replace=False)
+    derived = [partial_trace(rho, {str(lab) for lab in keep})]
+    for label in (lab for lab, d in lay.factors if d == 2):
+        for basis in ("Z", "X"):
+            once = measure_register(rho, label, basis)
+            assert np.array_equal(measure_register(once, label, basis).matrix, once.matrix)
+            derived.append(once)
+    for out in derived:
+        DensityOperator(out.matrix, out.layout)
+        assert not out.matrix.flags.writeable
 
 
 def test_haar_random_unitary_properties():
