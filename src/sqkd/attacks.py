@@ -17,7 +17,10 @@ between them:
 * :class:`ReducedAttack` -- the one-shot form (p0, U) against the protocol
   variant in which B themselves prepares the two-qubit state; the rewind
   isometry (:func:`build_rewind`) converts a restricted attack into this
-  form with exactly the same joint state on (A1, A2, B, E).
+  form with exactly the same joint state on (A1, A2, B, E). Its round
+  states are simulated once per attack, on first use, and shared by every
+  reader (:func:`simulate_reduced`, :func:`reduced_round_states`,
+  :func:`estimate_noise_stats`) as one immutable state each.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
 simulated round stays pure: the simulators carry its state vector and return
@@ -26,7 +29,7 @@ its projector, an exact density operator with no sampling noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +75,7 @@ __all__ = [
 
 MEASURE_RESEND = "measure_resend"
 REFLECT = "reflect"
+_AUX = "aux"  # the reduced protocol's reflect round with a sign flip on its |11> branch
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -166,11 +170,14 @@ class ReducedAttack:
 
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> on (A1, A2, B) with b = 0
     for a reflect round and b = 1 for a measure-and-resend round; the
-    eavesdropper applies the single unitary U to (A1, A2, E).
+    eavesdropper applies the single unitary U to (A1, A2, E). The attack
+    holds its round states: each is simulated the first time it is asked
+    for, and later requests return the same immutable state.
     """
 
     p0: float
     u: np.ndarray
+    _rounds: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
@@ -423,16 +430,23 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     return ReducedAttack(p0, reverse_full @ rewind_full)
 
 
-def _reduced_run(attack: ReducedAttack, a1a2_amplitudes: tuple[complex, complex], b_bit: int) -> DensityOperator:
-    """Apply a reduced attack to amp0 |00> + amp1 |11> on (A1, A2) with B = |b>."""
-    d_e = attack.d_e
-    amp0, amp1 = a1a2_amplitudes
-    lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
-    psi = np.zeros(lay.dims, dtype=complex)
-    psi[0, 0, 0, 0] = amp0
-    psi[1, 1, b_bit, 0] = amp1
-    psi = _apply_local(attack.u, psi.reshape(-1), lay, ["A1", "A2", "E"])
-    return DensityOperator.from_state(psi, lay)
+def _reduced_round(attack: ReducedAttack, name: str) -> DensityOperator:
+    """The attack's round state ``name`` over (A1, A2, B, E), simulated on first use.
+
+    The preparation amp0 |000> + amp1 |11b> on (A1, A2, E) has support on
+    |000> and |110> only, so U maps it to amp0 U[:, 0] + amp1 U[:, 3 d_e].
+    """
+    state = attack._rounds.get(name)
+    if state is None:
+        d_e = attack.d_e
+        amp0 = math.sqrt(attack.p0)
+        amp1 = (-1.0 if name == _AUX else 1.0) * math.sqrt(max(0.0, 1.0 - attack.p0))
+        psi = np.zeros((4, 2, d_e), dtype=complex)  # ((A1, A2), B, E)
+        psi[:, 0, :] = amp0 * attack.u[:, 0].reshape(4, d_e)
+        psi[:, int(name == MEASURE_RESEND), :] += amp1 * attack.u[:, 3 * d_e].reshape(4, d_e)
+        lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
+        state = attack._rounds[name] = DensityOperator.from_state(psi.reshape(-1), lay)
+    return state
 
 
 def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
@@ -441,12 +455,12 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> over (A1, A2, B), with
     b = 0 on reflect rounds and b = 1 on measure-and-resend rounds, and
     the attack unitary acts on (A1, A2, E). Returns the pure joint state
-    over (A1, A2, B, E).
+    over (A1, A2, B, E). Each round is simulated once per attack, on first
+    use; repeated calls return the same immutable state.
     """
     if choice not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {choice!r}")
-    amps = (math.sqrt(attack.p0), math.sqrt(max(0.0, 1.0 - attack.p0)))
-    return _reduced_run(attack, amps, 0 if choice == REFLECT else 1)
+    return _reduced_round(attack, choice)
 
 
 def reduced_round_states(
@@ -466,8 +480,7 @@ def reduced_round_states(
 
     reflect = _key_state(simulate_reduced(attack, REFLECT))
     resend = _key_state(simulate_reduced(attack, MEASURE_RESEND))
-    amps = (math.sqrt(attack.p0), -math.sqrt(max(0.0, 1.0 - attack.p0)))
-    aux = _key_state(_reduced_run(attack, amps, 0))
+    aux = _key_state(_reduced_round(attack, _AUX))
     residual = np.max(np.abs(resend.matrix - 0.5 * reflect.matrix - 0.5 * aux.matrix))
     if not residual <= TOL.decomposition:
         raise ArithmeticError(f"round-state decomposition residual {residual:.3e}")
@@ -493,13 +506,13 @@ def estimate_noise_stats(attack) -> NoiseStats:
     operators, averaging uniformly over A's preparations where relevant.
     """
     if isinstance(attack, ReducedAttack):
-        resend = simulate_reduced(attack, MEASURE_RESEND)
-        q_fwd = _probability(resend, {"A1": _P0, "B": _P1}) + _probability(resend, {"A1": _P1, "B": _P0})
-        q_rev = _probability(resend, {"A2": _P0, "B": _P1}) + _probability(resend, {"A2": _P1, "B": _P0})
-        reflect = simulate_reduced(attack, REFLECT)
-        q_x = _probability(reflect, {"A1": _P_PLUS, "A2": _P_MINUS}) + _probability(
-            reflect, {"A1": _P_MINUS, "A2": _P_PLUS}
-        )
+        # P(A1, A2, B) on resend rounds; q_x = (1 - Re<X (x) X>) / 2 on reflect rounds
+        resend = simulate_reduced(attack, MEASURE_RESEND).matrix
+        p = np.real(np.diagonal(resend)).reshape(2, 2, 2, -1).sum(axis=3)
+        q_fwd = p[0, :, 1].sum() + p[1, :, 0].sum()
+        q_rev = p[:, 0, 1].sum() + p[:, 1, 0].sum()
+        a1a2 = partial_trace(simulate_reduced(attack, REFLECT), {"A1", "A2"}).matrix
+        q_x = 0.5 * (1.0 - np.real(np.trace(np.fliplr(a1a2))))
         return NoiseStats(q_fwd, q_rev, q_x)
 
     z_projs = (_P0, _P1)

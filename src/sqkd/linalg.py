@@ -67,7 +67,8 @@ class SubsystemLayout:
         for lab, dim in self.factors:
             if lab not in VALID_LABELS:
                 raise ValueError(f"unknown label {lab!r}; expected one of {VALID_LABELS}")
-            dim = _check_integer(f"dimension of {lab!r}", dim)
+            if type(dim) is not int:  # layouts derived from valid ones carry ints already
+                dim = _check_integer(f"dimension of {lab!r}", dim)
             if dim < 1:
                 raise ValueError(f"factor {lab!r} has non-positive dimension {dim}")
             factors.append((lab, dim))

@@ -411,6 +411,50 @@ def test_reduced_protocol_equivalence_spot(d_e):
             assert trace_distance(lhs, rhs) < EXACT
 
 
+def reduced_round_by_kron(reduced, amp1_sign, b_bit):
+    """Reference round: U embedded on (A1, A2, E) applied to a kron-built preparation."""
+    kets = [basis_state(2, 0), basis_state(2, 1)]
+    e0 = basis_state(reduced.d_e, 0)
+    amp0, amp1 = math.sqrt(reduced.p0), amp1_sign * math.sqrt(1.0 - reduced.p0)
+    prep = amp0 * np.kron(np.kron(np.kron(kets[0], kets[0]), kets[0]), e0) + amp1 * np.kron(
+        np.kron(np.kron(kets[1], kets[1]), kets[b_bit]), e0
+    )
+    lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", reduced.d_e))
+    return embed_operator(reduced.u, lay, ["A1", "A2", "E"]) @ prep
+
+
+def key_state_by_vector(psi, d_e):
+    """The (A1, E) state after measuring A1 in Z and tracing out A2 and B."""
+    branches = psi.reshape(2, 2, 2, d_e)
+    out = np.zeros((2, d_e, 2, d_e), dtype=complex)
+    for a in range(2):
+        out[a, :, a, :] = np.einsum("xbe,xbf->ef", branches[a], branches[a].conj())
+    return out.reshape(2 * d_e, 2 * d_e)
+
+
+@pytest.mark.parametrize("d_e", [2, 3, 4, 8])
+def test_reduced_round_matches_kron_construction(d_e):
+    reduced = derive_reduced_attack(random_restricted_attack(d_e, np.random.default_rng(500 + d_e)))
+    vectors = {
+        REFLECT: reduced_round_by_kron(reduced, 1.0, 0),
+        MEASURE_RESEND: reduced_round_by_kron(reduced, 1.0, 1),
+        "aux": reduced_round_by_kron(reduced, -1.0, 0),
+    }
+    for op in (REFLECT, MEASURE_RESEND):
+        out = simulate_reduced(reduced, op)
+        assert out.layout.labels == ("A1", "A2", "B", "E")
+        assert np.max(np.abs(out.matrix - np.outer(vectors[op], vectors[op].conj()))) < EXACT
+        assert simulate_reduced(reduced, op) is out
+    key_states = reduced_round_states(reduced)
+    for state, name in zip(key_states, (REFLECT, MEASURE_RESEND, "aux")):
+        assert np.max(np.abs(state.matrix - key_state_by_vector(vectors[name], d_e))) < EXACT
+    # the held round states, the aux one included, cannot be written to
+    assert len(reduced._rounds) == 3
+    for held in reduced._rounds.values():
+        with pytest.raises(ValueError):
+            held.matrix[0, 0] = 0.0
+
+
 def test_simulate_reduced_validation():
     with pytest.raises(ValueError):
         simulate_reduced(ReducedAttack(0.5, np.eye(8)), "teleport")

@@ -105,3 +105,11 @@ def test_run_all_checks_order_and_passes():
     assert tuple(report.check for report in reports) == CHECK_NAMES
     assert all(report.passed for report in reports)
     assert all(report.max_residual <= report.tolerance for report in reports)
+
+
+@pytest.mark.parametrize("trials, seed, d_e_list", [(20, 42, (2, 3, 4)), (3, 5, (8,))])
+def test_verify_residuals_stay_within_precision_budget(trials, seed, d_e_list):
+    # every residual is around 1e-14 today; this catches a loss of precision
+    # long before it reaches the 1e-9 pass gate
+    for report in run_all_checks(trials, seed, d_e_list):
+        assert report.max_residual <= 1e-12, (report.check, report.max_residual)
