@@ -14,12 +14,13 @@ between them:
   arbitrary reverse unitary. :func:`derive_restricted_from_collective`
   converts any collective attack into this form without changing the joint
   state A and B can observe.
-* :class:`ReducedAttack` -- the one-shot form (p0, U) against the protocol
-  variant in which B themselves prepares the two-qubit state; the rewind
-  isometry (:func:`build_rewind`) converts a restricted attack into this
-  form with exactly the same joint state on (A1, A2, B, E). Its round
-  states are simulated once per attack, on first use, and shared by every
-  reader (:func:`simulate_reduced`, :func:`reduced_round_states`,
+* :class:`ReducedAttack` -- the one-shot form (p0, V) against the protocol
+  variant in which B themselves prepares the two-qubit state, with V the
+  isometry that B's two preparation branches see; the rewind isometry
+  (:func:`build_rewind`) converts a restricted attack into this form with
+  exactly the same joint state on (A1, A2, B, E). Its round states are
+  simulated once per attack, on first use, and shared by every reader
+  (:func:`simulate_reduced`, :func:`reduced_round_states`,
   :func:`estimate_noise_stats`) as one immutable state each.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
@@ -90,12 +91,13 @@ _P_MINUS = np.outer(MINUS, MINUS.conj())
 _MAX_D_E = 8  # keeps every full system at dimension <= 64
 
 
-def _frozen_unitary(u: np.ndarray, dim: int, what: str) -> np.ndarray:
-    m = np.array(u, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"{what} must have shape ({dim}, {dim}), got {m.shape}")
-    if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= TOL.unitary:
-        raise ValueError(f"{what} is not unitary within tolerance")
+def _frozen_isometry(m: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
+    # a square isometry is a unitary
+    m = np.array(m, dtype=complex)
+    if m.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {m.shape}")
+    if not np.max(np.abs(m.conj().T @ m - np.eye(shape[1]))) <= TOL.unitary:
+        raise ValueError(f"{what} is not an isometry within tolerance")
     m.setflags(write=False)
     return m
 
@@ -118,8 +120,9 @@ class CollectiveAttack:
     def __post_init__(self) -> None:
         d_e = _check_d_e(self.d_e)
         object.__setattr__(self, "d_e", d_e)
-        object.__setattr__(self, "u_forward", _frozen_unitary(self.u_forward, 2 * d_e, "u_forward"))
-        object.__setattr__(self, "u_reverse", _frozen_unitary(self.u_reverse, 2 * d_e, "u_reverse"))
+        square = (2 * d_e, 2 * d_e)
+        object.__setattr__(self, "u_forward", _frozen_isometry(self.u_forward, square, "u_forward"))
+        object.__setattr__(self, "u_reverse", _frozen_isometry(self.u_reverse, square, "u_reverse"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,35 +164,35 @@ class RestrictedAttack:
         )
         if not residual <= TOL.constraint:
             raise ValueError(f"attack parameters violate the constraint, residual {residual:.3e}")
-        object.__setattr__(self, "u", _frozen_unitary(self.u, 2 * d_e, "u"))
+        object.__setattr__(self, "u", _frozen_isometry(self.u, (2 * d_e, 2 * d_e), "u"))
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedAttack:
-    """One-shot attack (p0, U) on the protocol where B prepares both qubits.
+    """One-shot attack (p0, V) on the protocol where B prepares both qubits.
 
-    B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> on (A1, A2, B) with b = 0
-    for a reflect round and b = 1 for a measure-and-resend round; the
-    eavesdropper applies the single unitary U to (A1, A2, E). The attack
-    holds its round states: each is simulated the first time it is asked
-    for, and later requests return the same immutable state.
+    B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> on (A1, A2, B), b = 0 on
+    reflect and b = 1 on measure-and-resend rounds, and E starts in |0>,
+    so the attack is the read-only (4 d_e, 2) isometry ``v`` whose columns
+    are its images of |000> and |110> on (A1, A2, E). Each round state is
+    simulated on first request; later requests return the same state.
     """
 
     p0: float
-    u: np.ndarray
+    v: np.ndarray
     _rounds: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
-        m = np.array(self.u, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 4:
-            raise ValueError(f"attack unitary has invalid shape {m.shape}")
+        m = np.array(self.v, dtype=complex)
+        if m.ndim != 2 or m.shape[0] % 4:
+            raise ValueError(f"attack isometry has invalid shape {m.shape}")
         d_e = _check_d_e(m.shape[0] // 4)
-        object.__setattr__(self, "u", _frozen_unitary(m, 4 * d_e, "u"))
+        object.__setattr__(self, "v", _frozen_isometry(m, (4 * d_e, 2), "v"))
 
     @property
     def d_e(self) -> int:
-        return self.u.shape[0] // 4
+        return self.v.shape[0] // 4
 
 
 @dataclass(frozen=True)
@@ -373,20 +376,18 @@ def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
 
 
 def build_rewind(attack: RestrictedAttack) -> np.ndarray:
-    """The rewind isometry from (A1, A2) into (A1, A2) (x) C^2.
+    """The rewind isometry from span{|00>, |11>} on (A1, A2) into (A1, A2) (x) C^2.
 
     Undoes the statistics of the forward channel on the two preparations
     the classical party uses, so that a forward-then-reverse attack can be
-    replayed against a state B prepares locally:
+    replayed against a state B prepares locally. Returns its two columns:
 
         Rw|00> = (q0 |000> + sqrt(1-q1^2) |10f>) / sqrt(1 - q1^2 + q0^2)
         Rw|11> = (sqrt(1-q0^2) |01e> + q1 |110>) / sqrt(1 - q0^2 + q1^2)
 
-    Its action on |01> and |10> is never exercised and is completed
-    arbitrarily; all four columns are orthonormal. A column whose
-    normalizer vanishes (q0 = 0 with q1 = 1, or the mirror case) belongs
-    to a preparation branch of weight zero and is likewise completed
-    arbitrarily.
+    A column vanishes only when its branch has weight zero (squared norms
+    2 p0 and 2 (1 - p0)); it is then that branch's own basis ket, |000> or
+    |110>. The two columns differ in A2, so they stay orthonormal.
     """
     e, f = _ancilla_pair(attack)
     q0, q1 = attack.q0, attack.q1
@@ -398,43 +399,37 @@ def build_rewind(attack: RestrictedAttack) -> np.ndarray:
     c11 = np.zeros((2, 2, 2), dtype=complex)
     c11[0, 1, :] = s0 * e
     c11[1, 1, 0] = q1
-    placed = {}
-    for index, column in ((0, c00.reshape(8)), (3, c11.reshape(8))):
+    columns = []
+    for fallback, column in ((0, c00.reshape(8)), (6, c11.reshape(8))):
         norm = float(np.linalg.norm(column))
-        if norm > 1e-12:
-            placed[index] = column / norm
-    if not placed:
-        raise ArithmeticError("both rewind columns vanished; attack parameters inconsistent")
-    full = unitary_fixing_columns(8, placed)
-    return full[:, :4]
+        columns.append(column / norm if norm > 1e-12 else basis_state(8, fallback))
+    return np.column_stack(columns)
 
 
 def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     """Convert a restricted attack into the B-prepares one-shot form.
 
     The reduced attack prepares nothing itself: it consists of the
-    preparation weight p0 = (1 - q1^2 + q0^2) / 2 and the single unitary
-    (I_A1 (x) u_reverse) . Rw, where Rw is the completed rewind isometry.
+    preparation weight p0 = (1 - q1^2 + q0^2) / 2 and the isometry
+    (I_A1 (x) u_reverse) . Rw on span{|00>, |11>}, Rw the rewind isometry.
     The resulting joint state over (A1, A2, B, E) equals the entangled
     protocol's output exactly, for both of B's round types.
     """
     d_e = attack.d_e
     p0 = 0.5 * (1.0 - attack.q1**2 + attack.q0**2)
     # the rewind's two-dimensional ancilla embedded into C^{d_e}
-    rewind = np.zeros((4, d_e, 4), dtype=complex)
-    rewind[:, :2, :] = build_rewind(attack).reshape(4, 2, 4)
-    rewind = rewind.reshape(4 * d_e, 4)
-    rewind_full = unitary_fixing_columns(4 * d_e, {k * d_e: rewind[:, k] for k in range(4)})
+    rewind = np.zeros((4, d_e, 2), dtype=complex)
+    rewind[:, :2, :] = build_rewind(attack).reshape(4, 2, 2)
     lay = layout(("A1", 2), ("A2", 2), ("E", d_e))
-    reverse_full = embed_operator(attack.u, lay, ["A2", "E"])
-    return ReducedAttack(p0, reverse_full @ rewind_full)
+    reverse = embed_operator(attack.u, lay, ["A2", "E"])
+    return ReducedAttack(p0, reverse @ rewind.reshape(4 * d_e, 2))
 
 
 def _reduced_round(attack: ReducedAttack, name: str) -> DensityOperator:
     """The attack's round state ``name`` over (A1, A2, B, E), simulated on first use.
 
     The preparation amp0 |000> + amp1 |11b> on (A1, A2, E) has support on
-    |000> and |110> only, so U maps it to amp0 U[:, 0] + amp1 U[:, 3 d_e].
+    |000> and |110> only, so the attack maps it to amp0 V[:, 0] + amp1 V[:, 1].
     """
     state = attack._rounds.get(name)
     if state is None:
@@ -442,8 +437,8 @@ def _reduced_round(attack: ReducedAttack, name: str) -> DensityOperator:
         amp0 = math.sqrt(attack.p0)
         amp1 = (-1.0 if name == _AUX else 1.0) * math.sqrt(max(0.0, 1.0 - attack.p0))
         psi = np.zeros((4, 2, d_e), dtype=complex)  # ((A1, A2), B, E)
-        psi[:, 0, :] = amp0 * attack.u[:, 0].reshape(4, d_e)
-        psi[:, int(name == MEASURE_RESEND), :] += amp1 * attack.u[:, 3 * d_e].reshape(4, d_e)
+        psi[:, 0, :] = amp0 * attack.v[:, 0].reshape(4, d_e)
+        psi[:, int(name == MEASURE_RESEND), :] += amp1 * attack.v[:, 1].reshape(4, d_e)
         lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
         state = attack._rounds[name] = DensityOperator.from_state(psi.reshape(-1), lay)
     return state
@@ -454,7 +449,7 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
 
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> over (A1, A2, B), with
     b = 0 on reflect rounds and b = 1 on measure-and-resend rounds, and
-    the attack unitary acts on (A1, A2, E). Returns the pure joint state
+    the attack isometry acts on (A1, A2, E). Returns the pure joint state
     over (A1, A2, B, E). Each round is simulated once per attack, on first
     use; repeated calls return the same immutable state.
     """

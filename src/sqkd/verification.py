@@ -199,7 +199,7 @@ def collective_reduction_residual(attack: CollectiveAttack) -> float:
 
 def restricted_reduction_residual(attack: RestrictedAttack) -> float:
     """Worst trace distance between the entangled protocol under a restricted
-    attack and the B-prepares protocol under the derived one-shot attack."""
+    attack and the B-prepares protocol under the derived one-shot isometry."""
     reduced = derive_reduced_attack(attack)
     return max(
         trace_distance(simulate_entangled_sqkd(attack, op), simulate_reduced(reduced, op))
@@ -379,8 +379,8 @@ def check_isometries(
 
     Replays the attack streams of the equivalence and entropy suites (the
     collective ones in their derived restricted form) and measures the
-    worst Gram-matrix residual of the forward isometry, the rewind
-    isometry, and the reverse and derived one-shot unitaries.
+    worst Gram-matrix residual of the forward and two-column rewind
+    isometries, the reverse unitary, and the derived one-shot isometry.
     """
     d_e_list = _check_d_e_list(d_e_list)
     trials = _check_trials(trials)
@@ -393,7 +393,7 @@ def check_isometries(
             gram_residual(forward_isometry(attack)),
             gram_residual(build_rewind(attack)),
             gram_residual(attack.u),
-            gram_residual(derive_reduced_attack(attack).u),
+            gram_residual(derive_reduced_attack(attack).v),
         )
 
     attacks = itertools.chain(

@@ -39,9 +39,12 @@ from sqkd.linalg import (
     partial_trace,
     trace_distance,
     trace_norm,
+    unitary_fixing_columns,
 )
 
 EXACT = 1e-12
+# the identity attack's images of |000> and |110> on (A1, A2, E) with d_e = 2
+IDENTITY_REDUCED = np.eye(8)[:, [0, 6]]
 
 # a hand-picked parameter set satisfying the constraint:
 # q1 * conj(eta0) * sqrt(1-q0^2) = -q0 * eta1 * sqrt(1-q1^2)
@@ -106,12 +109,18 @@ def test_symmetric_attack_expansion():
 
 
 def test_reduced_attack_validation():
-    attack = ReducedAttack(0.5, np.eye(8))
-    assert attack.d_e == 2
+    attack = ReducedAttack(0.5, IDENTITY_REDUCED)
+    assert attack.d_e == 2 and attack.v.shape == (8, 2)
     with pytest.raises(ValueError):
-        ReducedAttack(1.5, np.eye(8))
+        attack.v[0, 0] = 0.0
     with pytest.raises(ValueError):
-        ReducedAttack(0.5, np.eye(6))  # not a multiple of 4
+        ReducedAttack(1.5, IDENTITY_REDUCED)
+    with pytest.raises(ValueError):
+        ReducedAttack(0.5, np.eye(6)[:, :2])  # not a multiple of 4
+    with pytest.raises(ValueError):
+        ReducedAttack(0.5, np.eye(8))  # a unitary, not the two-column isometry
+    with pytest.raises(ValueError):
+        ReducedAttack(0.5, np.ones((8, 2)))  # columns not orthonormal
 
 
 def test_noise_stats_validation():
@@ -269,7 +278,7 @@ def test_simulate_sqkd_validation():
     with pytest.raises(ValueError):
         simulate_sqkd(attack, basis_state(2, 0), "teleport")
     with pytest.raises(TypeError):
-        simulate_sqkd(ReducedAttack(0.5, np.eye(8)), basis_state(2, 0), REFLECT)
+        simulate_sqkd(ReducedAttack(0.5, IDENTITY_REDUCED), basis_state(2, 0), REFLECT)
 
 
 def test_simulate_entangled_layout():
@@ -343,7 +352,7 @@ def test_nan_inputs_are_rejected():
     with pytest.raises(ValueError):
         CollectiveAttack(nan_unitary, np.eye(4), 2)
     with pytest.raises(ValueError):
-        ReducedAttack(0.5, nan_unitary)
+        ReducedAttack(0.5, np.full((8, 2), nan, dtype=complex))
     with pytest.raises(ValueError):
         RestrictedAttack(1, 1, nan, nan, np.eye(4), 2)
     with pytest.raises(ValueError):
@@ -357,8 +366,8 @@ def test_nan_inputs_are_rejected():
 def test_build_rewind_columns():
     attack = hand_attack()
     rewind = build_rewind(attack)
-    assert rewind.shape == (8, 4)
-    assert np.max(np.abs(rewind.conj().T @ rewind - np.eye(4))) < EXACT
+    assert rewind.shape == (8, 2)
+    assert np.max(np.abs(rewind.conj().T @ rewind - np.eye(2))) < EXACT
     s0, s1 = 0.8, 0.6
     e = np.array([HAND_ETA0, math.sqrt(1.0 - abs(HAND_ETA0) ** 2)])
     anc = np.array([HAND_ETA1, math.sqrt(1.0 - abs(HAND_ETA1) ** 2)])
@@ -371,7 +380,7 @@ def test_build_rewind_columns():
     c11[6] = HAND_Q1  # |1,1,0>
     c11 /= math.sqrt(1.0 - HAND_Q0**2 + HAND_Q1**2)
     assert np.allclose(rewind[:, 0], c00)
-    assert np.allclose(rewind[:, 3], c11)
+    assert np.allclose(rewind[:, 1], c11)
 
 
 @pytest.mark.parametrize(
@@ -383,8 +392,13 @@ def test_rewind_degenerate_columns(q0, q1, eta0, eta1):
     attack = RestrictedAttack(q0, q1, eta0, eta1, haar_random_unitary(4, rng), 2)
     rewind = build_rewind(attack)
     assert not np.any(np.isnan(rewind))
-    assert np.max(np.abs(rewind.conj().T @ rewind - np.eye(4))) < EXACT
+    assert np.max(np.abs(rewind.conj().T @ rewind - np.eye(2))) < EXACT
+    # (0, 1) loses the |00> column and (1, 0) the |11> column; the vanished
+    # column is its branch's own basis ket, and that branch has weight zero
+    vanished, ket, p0 = (0, 0, 0.0) if q0 == 0.0 else (1, 6, 1.0)
+    assert np.array_equal(rewind[:, vanished], basis_state(8, ket))
     reduced = derive_reduced_attack(attack)
+    assert reduced.p0 == p0
     for op in (MEASURE_RESEND, REFLECT):
         lhs = simulate_entangled_sqkd(attack, op)
         rhs = simulate_reduced(reduced, op)
@@ -395,8 +409,8 @@ def test_derive_reduced_attack_weight():
     attack = hand_attack()
     reduced = derive_reduced_attack(attack)
     assert abs(reduced.p0 - 0.5 * (1.0 - HAND_Q1**2 + HAND_Q0**2)) < EXACT
-    assert reduced.d_e == 2
-    assert np.max(np.abs(reduced.u.conj().T @ reduced.u - np.eye(8))) < EXACT
+    assert reduced.d_e == 2 and reduced.v.shape == (8, 2)
+    assert np.max(np.abs(reduced.v.conj().T @ reduced.v - np.eye(2))) < EXACT
 
 
 @pytest.mark.parametrize("d_e", [2, 3])
@@ -412,15 +426,18 @@ def test_reduced_protocol_equivalence_spot(d_e):
 
 
 def reduced_round_by_kron(reduced, amp1_sign, b_bit):
-    """Reference round: U embedded on (A1, A2, E) applied to a kron-built preparation."""
+    """Reference round: a unitary extending V, embedded on (A1, A2, E), applied to a
+    kron-built preparation."""
     kets = [basis_state(2, 0), basis_state(2, 1)]
-    e0 = basis_state(reduced.d_e, 0)
+    d_e = reduced.d_e
+    e0 = basis_state(d_e, 0)
     amp0, amp1 = math.sqrt(reduced.p0), amp1_sign * math.sqrt(1.0 - reduced.p0)
     prep = amp0 * np.kron(np.kron(np.kron(kets[0], kets[0]), kets[0]), e0) + amp1 * np.kron(
         np.kron(np.kron(kets[1], kets[1]), kets[b_bit]), e0
     )
-    lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", reduced.d_e))
-    return embed_operator(reduced.u, lay, ["A1", "A2", "E"]) @ prep
+    lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
+    u = unitary_fixing_columns(4 * d_e, {0: reduced.v[:, 0], 3 * d_e: reduced.v[:, 1]})
+    return embed_operator(u, lay, ["A1", "A2", "E"]) @ prep
 
 
 def key_state_by_vector(psi, d_e):
@@ -457,7 +474,7 @@ def test_reduced_round_matches_kron_construction(d_e):
 
 def test_simulate_reduced_validation():
     with pytest.raises(ValueError):
-        simulate_reduced(ReducedAttack(0.5, np.eye(8)), "teleport")
+        simulate_reduced(ReducedAttack(0.5, IDENTITY_REDUCED), "teleport")
 
 
 def test_reduced_round_states_decomposition():
