@@ -58,7 +58,6 @@ from .linalg import (
     partial_trace,
     trace_distance,
     trace_norm,
-    unitary_fixing_columns,
     von_neumann_entropy,
 )
 from .tolerances import DEFAULT as TOLERANCES

@@ -42,12 +42,12 @@ from .linalg import (
     _check_range,
     _contract,
     basis_state,
+    complete_isometry,
     embed_operator,
     haar_random_unitary,
     layout,
     partial_trace,
     measure_register,
-    unitary_fixing_columns,
 )
 from .tolerances import DEFAULT as TOL
 
@@ -238,13 +238,6 @@ def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.nd
     return out.reshape(-1), new_layout
 
 
-def _ancilla_pair(attack: RestrictedAttack) -> tuple[np.ndarray, np.ndarray]:
-    """The ancilla states |e>, |f> attached to forward flip events."""
-    e = np.array([attack.eta0, math.sqrt(max(0.0, 1.0 - abs(attack.eta0) ** 2))], dtype=complex)
-    f = np.array([attack.eta1, math.sqrt(max(0.0, 1.0 - abs(attack.eta1) ** 2))], dtype=complex)
-    return e, f
-
-
 def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
     """The forward channel isometry F from T into T (x) C^2.
 
@@ -253,7 +246,8 @@ def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
     states set by eta0 and eta1. The parameter constraint makes the two
     columns orthonormal, so F*F = I.
     """
-    e, f = _ancilla_pair(attack)
+    e = np.array([attack.eta0, math.sqrt(max(0.0, 1.0 - abs(attack.eta0) ** 2))], dtype=complex)
+    f = np.array([attack.eta1, math.sqrt(max(0.0, 1.0 - abs(attack.eta1) ** 2))], dtype=complex)
     out = np.zeros((2, 2, 2), dtype=complex)  # (T, ancilla, input)
     out[0, 0, 0] = attack.q0
     out[1, :, 0] = math.sqrt(max(0.0, 1.0 - attack.q0**2)) * e
@@ -283,15 +277,16 @@ def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAtt
 
     Reads the flip amplitudes and conditional ancilla states off the
     forward unitary's images of |0> and |1> (ancilla in |0>), then builds the
-    block-diagonal unitary V that maps the two-dimensional ancilla of the
-    normal form onto those conditional states. Because V preserves the
-    transit qubit's Z value, it commutes with B's CNOT, so folding it into
-    the reverse unitary (U = u_reverse . V) leaves the final joint state
-    observable by A and B unchanged.
+    unitary V = diag(V0, V1) over the transit qubit's Z value, each block
+    mapping the normal form's two-dimensional ancilla onto the conditional
+    states of its Z value. Because V preserves that Z value, it commutes
+    with B's CNOT, so folding it into the reverse unitary
+    (U = u_reverse . V) leaves the final joint state observable by A and B
+    unchanged.
 
     When a conditional-state overlap is degenerate (|eta| within 1e-8 of
     1) the corresponding V column is unreachable and is completed
-    arbitrarily.
+    arbitrarily within its Z block.
     """
     d_e = attack.d_e
     if d_e < 2:
@@ -316,23 +311,17 @@ def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAtt
     eta0 = complex(e3.conj() @ e1)
     eta1 = complex(e0.conj() @ e2)
 
-    def on_t(t: int, ancilla: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, d_e), dtype=complex)  # |t> (x) ancilla
-        out[t] = ancilla
-        return out.reshape(-1)
+    def v_block(e: np.ndarray, other: np.ndarray, eta: complex) -> np.ndarray:
+        # V on one Z value of T: e, then the part of ``other`` orthogonal to it
+        columns = [e]
+        if abs(eta) < 1.0 - TOL.eta_degenerate:
+            columns.append((other - eta * e) / math.sqrt(1.0 - abs(eta) ** 2))
+        return complete_isometry(np.column_stack(columns))
 
-    placed = {0: on_t(0, e0), d_e: on_t(1, e3)}
-    if abs(eta1) < 1.0 - TOL.eta_degenerate:
-        g0 = (e2 - eta1 * e0) / math.sqrt(1.0 - abs(eta1) ** 2)
-        placed[1] = on_t(0, g0)
-    if abs(eta0) < 1.0 - TOL.eta_degenerate:
-        g1 = (e1 - eta0 * e3) / math.sqrt(1.0 - abs(eta0) ** 2)
-        placed[d_e + 1] = on_t(1, g1)
-    v = unitary_fixing_columns(2 * d_e, placed)
-    if abs(eta0) > 1.0:
-        eta0 /= abs(eta0)
-    if abs(eta1) > 1.0:
-        eta1 /= abs(eta1)
+    v = np.zeros((2 * d_e, 2 * d_e), dtype=complex)
+    v[:d_e, :d_e] = v_block(e0, e2, eta1)
+    v[d_e:, d_e:] = v_block(e3, e1, eta0)
+    eta0, eta1 = (eta / max(1.0, abs(eta)) for eta in (eta0, eta1))
     return RestrictedAttack(alpha, beta, eta0, eta1, attack.u_reverse @ v, d_e)
 
 
@@ -380,29 +369,24 @@ def build_rewind(attack: RestrictedAttack) -> np.ndarray:
 
     Undoes the statistics of the forward channel on the two preparations
     the classical party uses, so that a forward-then-reverse attack can be
-    replayed against a state B prepares locally. Returns its two columns:
+    replayed against a state B prepares locally. Returns its two columns,
+    the forward isometry F read backwards (Rw|tt> ~ sum_a |a, t> (x) <t|F|a>):
 
         Rw|00> = (q0 |000> + sqrt(1-q1^2) |10f>) / sqrt(1 - q1^2 + q0^2)
         Rw|11> = (sqrt(1-q0^2) |01e> + q1 |110>) / sqrt(1 - q0^2 + q1^2)
 
     A column vanishes only when its branch has weight zero (squared norms
     2 p0 and 2 (1 - p0)); it is then that branch's own basis ket, |000> or
-    |110>. The two columns differ in A2, so they stay orthonormal.
+    |110>, in its own Z block of A2. The two columns differ in A2, so they
+    stay orthonormal.
     """
-    e, f = _ancilla_pair(attack)
-    q0, q1 = attack.q0, attack.q1
-    s0 = math.sqrt(max(0.0, 1.0 - q0**2))
-    s1 = math.sqrt(max(0.0, 1.0 - q1**2))
-    c00 = np.zeros((2, 2, 2), dtype=complex)  # (A1, A2, ancilla)
-    c00[0, 0, 0] = q0
-    c00[1, 0, :] = s1 * f
-    c11 = np.zeros((2, 2, 2), dtype=complex)
-    c11[0, 1, :] = s0 * e
-    c11[1, 1, 0] = q1
+    f = forward_isometry(attack).reshape(2, 2, 2)  # (T, ancilla, input)
     columns = []
-    for fallback, column in ((0, c00.reshape(8)), (6, c11.reshape(8))):
+    for t, fallback in ((0, 0), (1, 6)):
+        column = np.zeros((2, 2, 2), dtype=complex)  # (A1, A2, ancilla)
+        column[:, t, :] = f[t].T
         norm = float(np.linalg.norm(column))
-        columns.append(column / norm if norm > 1e-12 else basis_state(8, fallback))
+        columns.append(column.reshape(8) / norm if norm > 1e-12 else basis_state(8, fallback))
     return np.column_stack(columns)
 
 

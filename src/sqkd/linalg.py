@@ -43,7 +43,6 @@ __all__ = [
     "measure_register",
     "haar_random_unitary",
     "complete_isometry",
-    "unitary_fixing_columns",
 ]
 
 
@@ -300,10 +299,13 @@ def _check_range(name: str, value: float, low: float, high: float) -> float:
 
 
 def _check_integer(name: str, value: float) -> int:
-    """``value`` as an int; a fractional, infinite or NaN value raises ValueError."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name}={value} is not an integer")
-    return int(value)
+    """``value`` as an int; a fractional, infinite, NaN or beyond-float value raises ValueError."""
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+    raise ValueError(f"{name}={value} is not an integer")
 
 
 def binary_entropy(x: float) -> float:
@@ -414,24 +416,3 @@ def complete_isometry(columns: np.ndarray) -> np.ndarray:
     out, _ = np.linalg.qr(np.hstack([cols, np.eye(n, dtype=complex)]))
     out[:, :k] = cols
     return out
-
-
-def unitary_fixing_columns(dim: int, placed: dict[int, np.ndarray]) -> np.ndarray:
-    """Unitary whose column at each given index equals the given vector.
-
-    The fixed columns must be mutually orthonormal; all other columns are
-    completed arbitrarily (deterministically) over the complement.
-    """
-    indices = sorted(placed)
-    if not indices:
-        raise ValueError("at least one column must be placed")
-    if indices[0] < 0 or indices[-1] >= dim:
-        raise ValueError(f"column index out of range for dimension {dim}")
-    stacked = np.column_stack([np.asarray(placed[i], dtype=complex) for i in indices])
-    if stacked.shape[0] != dim:
-        raise ValueError(f"columns have dimension {stacked.shape[0]}, expected {dim}")
-    w = complete_isometry(stacked)
-    rest = [i for i in range(dim) if i not in placed]
-    u = np.empty((dim, dim), dtype=complex)
-    u[:, indices + rest] = w
-    return u

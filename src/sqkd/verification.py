@@ -47,6 +47,7 @@ from .keyrate import (
 )
 from .linalg import (
     _check_integer,
+    binary_entropy,
     conditional_entropy,
     hermitian_eigen,
     measure_register,
@@ -267,9 +268,11 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     pinched_x = measure_register(full_reflect, "A1", "X")
     s_x_given_a2 = conditional_entropy(pinched_x, {"A1"}, {"A2"})
 
-    full_resend = simulate_reduced(reduced, MEASURE_RESEND)
-    pinched_zz = measure_register(measure_register(full_resend, "A1", "Z"), "B", "Z")
-    h_key_given_b = conditional_entropy(pinched_zz, {"A1"}, {"B"})
+    # H(A1^Z|B^Z) = sum_b P(b) h(P(A1=1|b)), P(A1, B) off the resend Z diagonal
+    resend = simulate_reduced(reduced, MEASURE_RESEND).matrix
+    p_a1_b = np.real(np.diagonal(resend)).reshape(2, 2, 2, -1).sum(axis=(1, 3))
+    p_b = p_a1_b.sum(axis=0)
+    h_key_given_b = sum(p_b[b] * binary_entropy(p_a1_b[1, b] / p_b[b]) for b in (0, 1) if p_b[b] > 0)
 
     return SymmetricAttackDiagnostics(
         q=stats.q_fwd,

@@ -49,3 +49,9 @@ def test_non_integral_sizes_are_rejected(size_of):
     for bad in (2.5, 2.7, 3.9, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="not an integer"):
             size_of(bad)
+    # an int beyond float range is refused with a ValueError, never an OverflowError;
+    # a layout keeps a plain int as it is
+    try:
+        assert size_of(10**400) == 10**400
+    except ValueError as exc:
+        assert "beyond float range" in str(exc)

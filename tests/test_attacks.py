@@ -39,7 +39,6 @@ from sqkd.linalg import (
     partial_trace,
     trace_distance,
     trace_norm,
-    unitary_fixing_columns,
 )
 
 EXACT = 1e-12
@@ -338,6 +337,32 @@ def test_derive_restricted_random_spot(d_e):
             assert trace_distance(lhs, rhs) < EXACT
 
 
+SWAP_FORWARD = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+BIT_FLIP_FORWARD = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "make_attack",
+    [
+        *(lambda rng, d_e=d_e: random_collective_attack(d_e, rng) for d_e in (2, 3, 4, 8)),
+        lambda rng: CollectiveAttack(SWAP_FORWARD, haar_random_unitary(4, rng), 2),
+        lambda rng: CollectiveAttack(BIT_FLIP_FORWARD, haar_random_unitary(4, rng), 2),
+    ],
+    ids=["d_e=2", "d_e=3", "d_e=4", "d_e=8", "swap", "bit-flip"],
+)
+def test_derived_v_preserves_transit_z(make_attack):
+    # U = u_reverse . V with V block-diagonal in T's Z value, so V commutes
+    # with B's CNOT; swap and bit-flip take the degenerate-eta branches
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        attack = make_attack(rng)
+        d_e = attack.d_e
+        v = attack.u_reverse.conj().T @ derive_restricted_from_collective(attack).u
+        assert np.max(np.abs(v[:d_e, d_e:])) < EXACT
+        assert np.max(np.abs(v[d_e:, :d_e])) < EXACT
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2 * d_e))) < EXACT
+
+
 def test_derive_restricted_rejects_one_dimensional_ancilla():
     small = CollectiveAttack(np.eye(2), np.eye(2), 1)
     with pytest.raises(ValueError):
@@ -436,7 +461,10 @@ def reduced_round_by_kron(reduced, amp1_sign, b_bit):
         np.kron(np.kron(kets[1], kets[1]), kets[b_bit]), e0
     )
     lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
-    u = unitary_fixing_columns(4 * d_e, {0: reduced.v[:, 0], 3 * d_e: reduced.v[:, 1]})
+    # V's columns are the images of |000> and |110>, columns 0 and 3 d_e of a unitary
+    order = [0, 3 * d_e] + [i for i in range(4 * d_e) if i not in (0, 3 * d_e)]
+    u = np.empty((4 * d_e, 4 * d_e), dtype=complex)
+    u[:, order] = complete_isometry(reduced.v)
     return embed_operator(u, lay, ["A1", "A2", "E"]) @ prep
 
 

@@ -187,6 +187,18 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_sizes_beyond_float_range_exit_two(capsys):
+    huge = "1" + "0" * 400
+    for argv in (
+        ["verify", "--trials", huge, "--seed", "1"],
+        ["curve", "--qx-model", "equal", "--steps", huge],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "beyond float range" in err
+
+
 def test_threshold_without_positive_rate_exits_one(capsys):
     # explicit:0.5 is a valid model whose rate is 0 at Q=0, so no threshold exists
     code, out, err = run_cli(capsys, "threshold", "--qx-model", "explicit:0.5")

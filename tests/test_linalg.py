@@ -26,7 +26,6 @@ from sqkd.linalg import (
     partial_trace,
     trace_distance,
     trace_norm,
-    unitary_fixing_columns,
     von_neumann_entropy,
 )
 
@@ -457,17 +456,3 @@ def test_complete_isometry_vector_promotion_and_errors():
     with pytest.raises(ValueError):
         complete_isometry(np.eye(2, 3))  # 3 columns in dimension 2
 
-
-def test_unitary_fixing_columns_placement():
-    rng = np.random.default_rng(10)
-    pair = haar_random_unitary(6, rng)[:, :2]
-    u = unitary_fixing_columns(6, {0: pair[:, 0], 3: pair[:, 1]})
-    assert np.allclose(u[:, 0], pair[:, 0])
-    assert np.allclose(u[:, 3], pair[:, 1])
-    assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < EXACT
-    with pytest.raises(ValueError):
-        unitary_fixing_columns(6, {})
-    with pytest.raises(ValueError):
-        unitary_fixing_columns(6, {6: pair[:, 0]})
-    with pytest.raises(ValueError):
-        unitary_fixing_columns(6, {0: pair[:, 0], 1: pair[:, 0]})  # repeated column

@@ -1,7 +1,17 @@
 """Tests for the randomized verification suites and their report type."""
+import functools
+
 import numpy as np
 import pytest
 
+from sqkd.attacks import (
+    MEASURE_RESEND,
+    RestrictedAttack,
+    derive_reduced_attack,
+    random_symmetric_attack,
+    simulate_reduced,
+)
+from sqkd.linalg import conditional_entropy, haar_random_unitary, measure_register
 from sqkd.verification import (
     CHECK_NAMES,
     Q_GRID,
@@ -12,6 +22,7 @@ from sqkd.verification import (
     check_thm1_equivalence,
     check_thm2_equivalence,
     run_all_checks,
+    symmetric_attack_diagnostics,
     symmetric_diagnostics_sample,
     trial_rng,
     vector_pair_residual,
@@ -98,6 +109,34 @@ def test_symmetric_sample_shape_and_content():
     # deterministic under the same seed
     again = symmetric_diagnostics_sample(2, seed=21)
     assert [d.q_x for d in again] == [d.q_x for d in sample]
+
+
+def _symmetric_attacks(d_e):
+    rng = np.random.default_rng(40 + d_e)
+    return [random_symmetric_attack(q, rng, d_e) for q in Q_GRID]
+
+
+def _degenerate_attacks():
+    # reduced forms with p0 = 0 and p0 = 1, so one value of B never occurs
+    u = haar_random_unitary(4, np.random.default_rng(16))
+    return [
+        RestrictedAttack(0.0, 1.0, 0.0, 0.3 + 0.2j, u, 2),
+        RestrictedAttack(1.0, 0.0, 0.7j, 0.0, u, 2),
+    ]
+
+
+@pytest.mark.parametrize(
+    "attacks",
+    [*(functools.partial(_symmetric_attacks, d_e) for d_e in (2, 3, 4, 8)), _degenerate_attacks],
+    ids=["d_e=2", "d_e=3", "d_e=4", "d_e=8", "degenerate"],
+)
+def test_key_entropy_given_b_matches_pinch_route(attacks):
+    for attack in attacks():
+        # reference: pinch A1 and B in Z on the full resend state, then S(A1 B) - S(B)
+        resend = simulate_reduced(derive_reduced_attack(attack), MEASURE_RESEND)
+        pinched = measure_register(measure_register(resend, "A1", "Z"), "B", "Z")
+        reference = conditional_entropy(pinched, {"A1"}, {"B"})
+        assert abs(symmetric_attack_diagnostics(attack).h_key_given_b - reference) <= EXACT
 
 
 def test_run_all_checks_order_and_passes():
