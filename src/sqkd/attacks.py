@@ -18,10 +18,10 @@ between them:
   variant in which B themselves prepares the two-qubit state, with V the
   isometry that B's two preparation branches see; the rewind isometry
   (:func:`build_rewind`) converts a restricted attack into this form with
-  exactly the same joint state on (A1, A2, B, E). Its round states are
-  simulated once per attack, on first use, and shared by every reader
-  (:func:`simulate_reduced`, :func:`reduced_round_states`,
-  :func:`estimate_noise_stats`) as one immutable state each.
+  exactly the same joint state on (A1, A2, B, E). It holds its three round
+  states as read-only vectors, built once; key states and noise statistics
+  are Gram-product marginals of them, and only :func:`simulate_reduced`
+  forms a full density operator.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
 simulated round stays pure: the simulators carry its state vector and return
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,12 +42,12 @@ from .linalg import (
     _check_integer,
     _check_range,
     _contract,
+    _pure_marginal,
     basis_state,
     complete_isometry,
     embed_operator,
     haar_random_unitary,
     layout,
-    partial_trace,
     measure_register,
 )
 from .tolerances import DEFAULT as TOL
@@ -174,13 +175,16 @@ class ReducedAttack:
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> on (A1, A2, B), b = 0 on
     reflect and b = 1 on measure-and-resend rounds, and E starts in |0>,
     so the attack is the read-only (4 d_e, 2) isometry ``v`` whose columns
-    are its images of |000> and |110> on (A1, A2, E). Each round state is
-    simulated on first request; later requests return the same state.
+    are its images of |000> and |110> on (A1, A2, E). The private ``_rounds``
+    holds the reflect, resend and aux (reflect with amp1 negated) round vectors
+    amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b>, read-only, on ``_layout`` (A1, A2, B, E).
     """
 
     p0: float
     v: np.ndarray
-    _rounds: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _rounds: MappingProxyType = field(init=False, repr=False, compare=False)
+    _layout: SubsystemLayout = field(init=False, repr=False, compare=False)
+    _states: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
@@ -189,6 +193,16 @@ class ReducedAttack:
             raise ValueError(f"attack isometry has invalid shape {m.shape}")
         d_e = _check_d_e(m.shape[0] // 4)
         object.__setattr__(self, "v", _frozen_isometry(m, (4 * d_e, 2), "v"))
+        amp0, amp1 = math.sqrt(self.p0), math.sqrt(max(0.0, 1.0 - self.p0))
+        rounds = {}
+        for name, sign, b in ((REFLECT, 1.0, 0), (MEASURE_RESEND, 1.0, 1), (_AUX, -1.0, 0)):
+            psi = np.zeros((4, 2, d_e), dtype=complex)  # ((A1, A2), B, E)
+            psi[:, 0, :] = amp0 * self.v[:, 0].reshape(4, d_e)
+            psi[:, b, :] += sign * amp1 * self.v[:, 1].reshape(4, d_e)
+            psi.setflags(write=False)
+            rounds[name] = psi.reshape(-1)
+        object.__setattr__(self, "_rounds", MappingProxyType(rounds))
+        object.__setattr__(self, "_layout", layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e)))
 
     @property
     def d_e(self) -> int:
@@ -256,19 +270,15 @@ def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
     return out.reshape(4, 2)
 
 
-def _forward_embedded(attack: RestrictedAttack) -> np.ndarray:
-    """Forward isometry with its two-dimensional ancilla embedded into C^{d_e}."""
-    out = np.zeros((2, attack.d_e, 2), dtype=complex)
-    out[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
-    return out.reshape(2 * attack.d_e, 2)
-
-
 def _forward_and_reverse(attack) -> tuple[np.ndarray, np.ndarray]:
     """The forward map T -> T (x) E (ancilla from |0>) and the reverse unitary."""
     if isinstance(attack, CollectiveAttack):
         return attack.u_forward[:, [0, attack.d_e]], attack.u_reverse
     if isinstance(attack, RestrictedAttack):
-        return _forward_embedded(attack), attack.u
+        # the forward isometry's two-dimensional ancilla embedded into C^{d_e}
+        forward = np.zeros((2, attack.d_e, 2), dtype=complex)
+        forward[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
+        return forward.reshape(2 * attack.d_e, 2), attack.u
     raise TypeError(f"unsupported attack type {type(attack).__name__}")
 
 
@@ -409,23 +419,8 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     return ReducedAttack(p0, reverse @ rewind.reshape(4 * d_e, 2))
 
 
-def _reduced_round(attack: ReducedAttack, name: str) -> DensityOperator:
-    """The attack's round state ``name`` over (A1, A2, B, E), simulated on first use.
-
-    The preparation amp0 |000> + amp1 |11b> on (A1, A2, E) has support on
-    |000> and |110> only, so the attack maps it to amp0 V[:, 0] + amp1 V[:, 1].
-    """
-    state = attack._rounds.get(name)
-    if state is None:
-        d_e = attack.d_e
-        amp0 = math.sqrt(attack.p0)
-        amp1 = (-1.0 if name == _AUX else 1.0) * math.sqrt(max(0.0, 1.0 - attack.p0))
-        psi = np.zeros((4, 2, d_e), dtype=complex)  # ((A1, A2), B, E)
-        psi[:, 0, :] = amp0 * attack.v[:, 0].reshape(4, d_e)
-        psi[:, int(name == MEASURE_RESEND), :] += amp1 * attack.v[:, 1].reshape(4, d_e)
-        lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
-        state = attack._rounds[name] = DensityOperator.from_state(psi.reshape(-1), lay)
-    return state
+def _round_marginal(attack: ReducedAttack, name: str, keep: set[str]) -> DensityOperator:
+    return _pure_marginal(attack._rounds[name], attack._layout, keep)
 
 
 def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
@@ -434,12 +429,14 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> over (A1, A2, B), with
     b = 0 on reflect rounds and b = 1 on measure-and-resend rounds, and
     the attack isometry acts on (A1, A2, E). Returns the pure joint state
-    over (A1, A2, B, E). Each round is simulated once per attack, on first
+    over (A1, A2, B, E), built from the attack's held round vector on first
     use; repeated calls return the same immutable state.
     """
     if choice not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {choice!r}")
-    return _reduced_round(attack, choice)
+    if choice not in attack._states:
+        attack._states[choice] = DensityOperator.from_state(attack._rounds[choice], attack._layout)
+    return attack._states[choice]
 
 
 def reduced_round_states(
@@ -452,14 +449,13 @@ def reduced_round_states(
     run whose preparation carries a flipped sign on the |11> branch. The
     resend state must equal the equal mixture of the other two (the B
     register decoheres exactly the branch coherence the sign flip
-    negates); a residual above 1e-10 raises ArithmeticError.
+    negates); a residual above 1e-10 raises ArithmeticError. Each is the A1
+    Z pinch of a round's (A1, E) marginal, which commutes with tracing out A2, B.
     """
-    def _key_state(full: DensityOperator) -> DensityOperator:
-        return partial_trace(measure_register(full, "A1", "Z"), {"A1", "E"})
-
-    reflect = _key_state(simulate_reduced(attack, REFLECT))
-    resend = _key_state(simulate_reduced(attack, MEASURE_RESEND))
-    aux = _key_state(_reduced_round(attack, _AUX))
+    reflect, resend, aux = (
+        measure_register(_round_marginal(attack, name, {"A1", "E"}), "A1", "Z")
+        for name in (REFLECT, MEASURE_RESEND, _AUX)
+    )
     residual = np.max(np.abs(resend.matrix - 0.5 * reflect.matrix - 0.5 * aux.matrix))
     if not residual <= TOL.decomposition:
         raise ArithmeticError(f"round-state decomposition residual {residual:.3e}")
@@ -486,11 +482,11 @@ def estimate_noise_stats(attack) -> NoiseStats:
     """
     if isinstance(attack, ReducedAttack):
         # P(A1, A2, B) on resend rounds; q_x = (1 - Re<X (x) X>) / 2 on reflect rounds
-        resend = simulate_reduced(attack, MEASURE_RESEND).matrix
-        p = np.real(np.diagonal(resend)).reshape(2, 2, 2, -1).sum(axis=3)
+        resend = _round_marginal(attack, MEASURE_RESEND, {"A1", "A2", "B"})
+        p = np.real(np.diagonal(resend.matrix)).reshape(2, 2, 2)
         q_fwd = p[0, :, 1].sum() + p[1, :, 0].sum()
         q_rev = p[:, 0, 1].sum() + p[:, 1, 0].sum()
-        a1a2 = partial_trace(simulate_reduced(attack, REFLECT), {"A1", "A2"}).matrix
+        a1a2 = _round_marginal(attack, REFLECT, {"A1", "A2"}).matrix
         q_x = 0.5 * (1.0 - np.real(np.trace(np.fliplr(a1a2))))
         return NoiseStats(q_fwd, q_rev, q_x)
 

@@ -11,6 +11,7 @@ States are validated once, where they enter: the public
 check every invariant. States derived from an already-valid one by
 :func:`partial_trace` or :func:`measure_register` are built without
 re-checking, since both maps preserve Hermiticity, positivity and trace.
+``from_state`` also keeps its vector, for :func:`trace_distance` to read.
 
 Dimensions are small by design (full systems never exceed 64), so all
 operations use dense algebra with no attempt at sparsity.
@@ -18,7 +19,7 @@ operations use dense algebra with no attempt at sparsity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,11 +120,13 @@ class DensityOperator:
     factorization of rho + 1e-10 I, which succeeds exactly when every
     eigenvalue of rho is >= -1e-10. States that :func:`partial_trace` and
     :func:`measure_register` derive from a valid one are built by the
-    private :meth:`_trusted`, which checks nothing.
+    private :meth:`_trusted`, which checks nothing. Only :meth:`from_state`
+    states hold a vector, their read-only unit vector, as the private ``_vector``.
     """
 
     matrix: np.ndarray
     layout: SubsystemLayout
+    _vector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
@@ -157,11 +160,14 @@ class DensityOperator:
 
     @classmethod
     def from_state(cls, psi: np.ndarray, lay: SubsystemLayout) -> "DensityOperator":
-        """Projector |psi><psi| of a normalized state vector."""
-        v = np.asarray(psi, dtype=complex).reshape(-1)
+        """Projector |psi><psi| of a normalized state vector, which it keeps as ``_vector``."""
+        v = np.array(psi, dtype=complex).reshape(-1)
         if not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
             raise ValueError(f"state vector norm {np.linalg.norm(v)} is not 1 within tolerance")
-        return cls(np.outer(v, v.conj()), lay)
+        rho = cls(np.outer(v, v.conj()), lay)
+        v.setflags(write=False)
+        object.__setattr__(rho, "_vector", v)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -252,6 +258,16 @@ def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[
     return DensityOperator._trusted(reduced.reshape(d, d), SubsystemLayout(kept))
 
 
+def _pure_marginal(psi: np.ndarray, lay: SubsystemLayout, keep: set[str]) -> DensityOperator:
+    """The marginal on ``keep`` of the unit vector ``psi`` on ``lay``, as one Gram product."""
+    # M is psi with the kept axes first, in layout order; the marginal is M M^dagger
+    kept = sorted(lay.position(lab) for lab in keep)
+    sub = SubsystemLayout(tuple(lay.factors[i] for i in kept))
+    rest = [i for i in range(len(lay.factors)) if i not in kept]
+    m = np.transpose(psi.reshape(lay.dims), kept + rest).reshape(sub.dim, -1)
+    return DensityOperator._trusted(m @ m.conj().T, sub)
+
+
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -280,10 +296,20 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
-    """Trace distance (1/2)||r1 - r2||_1 between two density operators on one layout."""
+    """Trace distance (1/2)||r1 - r2||_1 between two density operators on one layout.
+
+    Between two states that hold vectors psi and phi (see :meth:`DensityOperator.from_state`)
+    it is ||psi - e^{i theta} phi|| sqrt((1 + |c|) / 2), c = <psi|phi>, e^{i theta} = |c| / c:
+    the value of sqrt(1 - |c|^2) without its cancellation for nearly equal states.
+    Otherwise it is half the sum of the eigenvalue magnitudes of r1 - r2.
+    """
     if r1.layout != r2.layout:
         raise ValueError(f"layout mismatch: {r1.layout.factors} vs {r2.layout.factors}")
-    return 0.5 * trace_norm(r1.matrix - r2.matrix)
+    if r1._vector is None or r2._vector is None:
+        return 0.5 * trace_norm(r1.matrix - r2.matrix)
+    c = complex(np.vdot(r1._vector, r2._vector))
+    aligned = r1._vector - (abs(c) / c if c else 1.0) * r2._vector
+    return math.sqrt(float(np.vdot(aligned, aligned).real) * (1.0 + abs(c)) / 2.0)
 
 
 def _check_range(name: str, value: float, low: float, high: float) -> float:

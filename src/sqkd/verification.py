@@ -24,6 +24,7 @@ from .attacks import (
     CollectiveAttack,
     RestrictedAttack,
     _check_d_e,
+    _round_marginal,
     alice_states,
     build_rewind,
     derive_reduced_attack,
@@ -264,13 +265,12 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     stats = estimate_noise_stats(reduced)
     reflect_state, resend_state, aux_state = reduced_round_states(reduced)
 
-    full_reflect = simulate_reduced(reduced, REFLECT)
-    pinched_x = measure_register(full_reflect, "A1", "X")
+    pinched_x = measure_register(_round_marginal(reduced, REFLECT, {"A1", "A2"}), "A1", "X")
     s_x_given_a2 = conditional_entropy(pinched_x, {"A1"}, {"A2"})
 
-    # H(A1^Z|B^Z) = sum_b P(b) h(P(A1=1|b)), P(A1, B) off the resend Z diagonal
-    resend = simulate_reduced(reduced, MEASURE_RESEND).matrix
-    p_a1_b = np.real(np.diagonal(resend)).reshape(2, 2, 2, -1).sum(axis=(1, 3))
+    # H(A1^Z|B^Z) = sum_b P(b) h(P(A1=1|b)), P(A1, B) off the resend (A1, B) marginal
+    resend_a1_b = _round_marginal(reduced, MEASURE_RESEND, {"A1", "B"})
+    p_a1_b = np.real(np.diagonal(resend_a1_b.matrix)).reshape(2, 2)
     p_b = p_a1_b.sum(axis=0)
     h_key_given_b = sum(p_b[b] * binary_entropy(p_a1_b[1, b] / p_b[b]) for b in (0, 1) if p_b[b] > 0)
 

@@ -485,19 +485,33 @@ def test_reduced_round_matches_kron_construction(d_e):
         MEASURE_RESEND: reduced_round_by_kron(reduced, 1.0, 1),
         "aux": reduced_round_by_kron(reduced, -1.0, 0),
     }
+    # the three held round vectors, the aux one included, cannot be written to
+    held = dict(reduced._rounds)
+    assert sorted(held) == sorted(vectors)
+    for name, psi in held.items():
+        assert np.max(np.abs(psi - vectors[name])) < EXACT
+        with pytest.raises(ValueError):
+            psi[0] = 0.0
+    with pytest.raises(TypeError):
+        reduced._rounds[REFLECT] = vectors[REFLECT]
+    returned = []
     for op in (REFLECT, MEASURE_RESEND):
         out = simulate_reduced(reduced, op)
         assert out.layout.labels == ("A1", "A2", "B", "E")
         assert np.max(np.abs(out.matrix - np.outer(vectors[op], vectors[op].conj()))) < EXACT
         assert simulate_reduced(reduced, op) is out
+        returned.append(out)
     key_states = reduced_round_states(reduced)
     for state, name in zip(key_states, (REFLECT, MEASURE_RESEND, "aux")):
         assert np.max(np.abs(state.matrix - key_state_by_vector(vectors[name], d_e))) < EXACT
-    # the held round states, the aux one included, cannot be written to
-    assert len(reduced._rounds) == 3
-    for held in reduced._rounds.values():
+    returned.extend(key_states)
+    # every returned state cannot be written to either
+    for state in returned:
         with pytest.raises(ValueError):
-            held.matrix[0, 0] = 0.0
+            state.matrix[0, 0] = 0.0
+    # each round is built once: no reader rebuilds or replaces a held vector
+    estimate_noise_stats(reduced)
+    assert all(reduced._rounds[name] is psi for name, psi in held.items())
 
 
 def test_simulate_reduced_validation():

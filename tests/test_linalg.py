@@ -13,6 +13,7 @@ from sqkd.linalg import (
     VALID_LABELS,
     DensityOperator,
     _apply_local,
+    _pure_marginal,
     SubsystemLayout,
     basis_state,
     binary_entropy,
@@ -269,6 +270,90 @@ def test_trace_distance_reference_values():
     assert abs(trace_distance(zero, plus) - trace_distance(plus, zero)) < EXACT
     with pytest.raises(ValueError):
         trace_distance(zero, DensityOperator.from_state(BELL, layout(("A1", 2), ("A2", 2))))
+
+
+def random_unit_vector(rng, dim):
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
+def eigenvalue_trace_distance(r1, r2):
+    return 0.5 * trace_norm(r1.matrix - r2.matrix)
+
+
+def test_from_state_holds_a_read_only_copy_of_its_vector():
+    lay = layout(("T", 2))
+    psi = PLUS.copy()
+    rho = DensityOperator.from_state(psi, lay)
+    psi[0] = 1.0
+    assert np.array_equal(rho._vector, PLUS)
+    with pytest.raises(ValueError):
+        rho._vector[0] = 0.0
+    # states built any other way hold no vector
+    assert DensityOperator(rho.matrix, lay)._vector is None
+    assert measure_register(rho, "T", "Z")._vector is None
+
+
+def test_pure_trace_distance_matches_eigenvalue_route():
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 8, 32, 64):
+        lay = layout(("E", dim))
+        for _ in range(10):
+            r1 = DensityOperator.from_state(random_unit_vector(rng, dim), lay)
+            r2 = DensityOperator.from_state(random_unit_vector(rng, dim), lay)
+            assert abs(trace_distance(r1, r2) - eigenvalue_trace_distance(r1, r2)) <= EXACT
+
+
+def test_pure_trace_distance_ignores_global_phase():
+    # sqrt(1 - |<psi|phi>|^2) would report about 1e-8 here
+    rng = np.random.default_rng(32)
+    for dim in (2, 8, 64):
+        lay = layout(("E", dim))
+        psi = random_unit_vector(rng, dim)
+        for theta in (0.0, 0.3, math.pi / 2, 2.0, math.pi):
+            rotated = DensityOperator.from_state(np.exp(1j * theta) * psi, lay)
+            assert trace_distance(DensityOperator.from_state(psi, lay), rotated) <= 1e-15
+
+
+def test_pure_trace_distance_of_orthogonal_states_is_one():
+    # a zero overlap has no phase to align; no 0/0 may occur
+    lay = layout(("E", 4))
+    zero, two = (DensityOperator.from_state(basis_state(4, i), lay) for i in (0, 2))
+    assert trace_distance(zero, two) == 1.0
+    rng = np.random.default_rng(33)
+    psi = random_unit_vector(rng, 4)
+    phi = random_unit_vector(rng, 4)
+    phi -= np.vdot(psi, phi) * psi
+    pair = [DensityOperator.from_state(v / np.linalg.norm(v), lay) for v in (psi, phi)]
+    assert abs(trace_distance(*pair) - 1.0) <= 1e-15
+
+
+def test_trace_distance_with_a_mixed_state_uses_eigenvalues():
+    lay = layout(("T", 2), ("E", 2))
+    pure = DensityOperator.from_state(random_unit_vector(np.random.default_rng(34), 4), lay)
+    mixed = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), lay)
+    for pair in ((pure, mixed), (mixed, pure)):
+        assert trace_distance(*pair) == eigenvalue_trace_distance(*pair)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1))
+def test_pure_marginal_matches_partial_trace(seed):
+    rng = np.random.default_rng(seed)
+    random_lay = random_layout(rng)
+    size = int(rng.integers(1, len(random_lay.labels) + 1))
+    random_keep = {str(lab) for lab in rng.choice(random_lay.labels, size=size, replace=False)}
+    key_lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", 3))
+    # a random layout and keep set, then the non-adjacent pair the key states keep
+    for lay, keep in ((random_lay, random_keep), (key_lay, {"E", "A1"})):
+        psi = random_unit_vector(rng, lay.dim)
+        reference = partial_trace(DensityOperator.from_state(psi, lay), keep)
+        marginal = _pure_marginal(psi, lay, keep)
+        assert marginal.layout == reference.layout
+        assert np.max(np.abs(marginal.matrix - reference.matrix)) <= EXACT
+        assert not marginal.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        _pure_marginal(psi, key_lay, {"E", "X"})
 
 
 def test_trace_distance_rejects_mismatched_layouts():

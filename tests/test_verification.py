@@ -6,12 +6,22 @@ import pytest
 
 from sqkd.attacks import (
     MEASURE_RESEND,
+    REFLECT,
     RestrictedAttack,
     derive_reduced_attack,
+    estimate_noise_stats,
     random_symmetric_attack,
     simulate_reduced,
 )
-from sqkd.linalg import conditional_entropy, haar_random_unitary, measure_register
+from sqkd.linalg import (
+    DensityOperator,
+    conditional_entropy,
+    haar_random_unitary,
+    layout,
+    measure_register,
+    partial_trace,
+    trace_distance,
+)
 from sqkd.verification import (
     CHECK_NAMES,
     Q_GRID,
@@ -137,6 +147,57 @@ def test_key_entropy_given_b_matches_pinch_route(attacks):
         pinched = measure_register(measure_register(resend, "A1", "Z"), "B", "Z")
         reference = conditional_entropy(pinched, {"A1"}, {"B"})
         assert abs(symmetric_attack_diagnostics(attack).h_key_given_b - reference) <= EXACT
+
+
+def density_matrix_reference(attack):
+    """Diagnostics and reduced noise stats from full round density operators."""
+    reduced = derive_reduced_attack(attack)
+    lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e))
+    full = {
+        name: DensityOperator.from_state(reduced._rounds[name], lay)
+        for name in (REFLECT, MEASURE_RESEND, "aux")
+    }
+    key = {
+        name: partial_trace(measure_register(rho, "A1", "Z"), {"A1", "E"})
+        for name, rho in full.items()
+    }
+    s_key = {name: conditional_entropy(rho, {"A1"}, {"E"}) for name, rho in key.items()}
+    # P(A1, A2, B) off the full resend diagonal; X disagreement from X (x) X projectors
+    p = np.real(np.diagonal(full[MEASURE_RESEND].matrix)).reshape(2, 2, 2, -1).sum(axis=3)
+    plus = np.full((2, 2), 0.5)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    a1a2 = partial_trace(full[REFLECT], {"A1", "A2"}).matrix
+    q_x = np.real(np.trace((np.kron(plus, minus) + np.kron(minus, plus)) @ a1a2))
+    pinched_zz = measure_register(measure_register(full[MEASURE_RESEND], "A1", "Z"), "B", "Z")
+    diag = SymmetricAttackDiagnostics(
+        q=p[0, :, 1].sum() + p[1, :, 0].sum(),
+        d_e=attack.d_e,
+        q_x=q_x,
+        s_reflect=s_key[REFLECT],
+        s_resend=s_key[MEASURE_RESEND],
+        s_aux=s_key["aux"],
+        s_x_given_a2=conditional_entropy(measure_register(full[REFLECT], "A1", "X"), {"A1"}, {"A2"}),
+        td_reflect_aux=trace_distance(key[REFLECT], key["aux"]),
+        h_key_given_b=conditional_entropy(pinched_zz, {"A1"}, {"B"}),
+    )
+    stats = (diag.q, p[:, 0, 1].sum() + p[:, 1, 0].sum(), q_x)
+    return diag, stats
+
+
+@pytest.mark.parametrize(
+    "attacks",
+    [*(functools.partial(_symmetric_attacks, d_e) for d_e in (2, 3, 4, 8)), _degenerate_attacks],
+    ids=["d_e=2", "d_e=3", "d_e=4", "d_e=8", "degenerate"],
+)
+def test_vector_route_matches_density_matrix_route(attacks):
+    for attack in attacks():
+        reference, reference_stats = density_matrix_reference(attack)
+        diag = symmetric_attack_diagnostics(attack)
+        for name in SymmetricAttackDiagnostics.__dataclass_fields__:
+            assert abs(getattr(diag, name) - getattr(reference, name)) <= EXACT, name
+        stats = estimate_noise_stats(derive_reduced_attack(attack))
+        for value, expected in zip((stats.q_fwd, stats.q_rev, stats.q_x), reference_stats):
+            assert abs(value - expected) <= EXACT
 
 
 def test_run_all_checks_order_and_passes():
