@@ -24,8 +24,8 @@ between them:
   forms a full density operator.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
-simulated round stays pure: the simulators carry its state vector and return
-its projector, an exact density operator with no sampling noise.
+simulated round stays pure: each attack holds its two-way round map, and the
+simulators return the projector of its image, an exact density operator.
 """
 from __future__ import annotations
 
@@ -91,6 +91,12 @@ _P_MINUS = np.outer(MINUS, MINUS.conj())
 
 _MAX_D_E = 8  # keeps every full system at dimension <= 64
 
+# the reduced rounds, and the sign of v's columns on (B = 0, B = 1): column 0
+# is on B = 0 in every round, column 1 on reflect, resend and aux as below
+_ROUNDS = (REFLECT, MEASURE_RESEND, _AUX)
+_COLUMN0_SIGNS = np.array([1.0, 0.0]).reshape(2, 1)
+_COLUMN1_SIGNS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]).reshape(3, 1, 2, 1)
+
 
 def _frozen_isometry(m: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
     # a square isometry is a unitary
@@ -117,6 +123,7 @@ class CollectiveAttack:
     u_forward: np.ndarray
     u_reverse: np.ndarray
     d_e: int
+    _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         d_e = _check_d_e(self.d_e)
@@ -148,6 +155,7 @@ class RestrictedAttack:
     eta1: complex
     u: np.ndarray
     d_e: int
+    _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         d_e = _check_d_e(self.d_e, minimum=2)
@@ -194,14 +202,10 @@ class ReducedAttack:
         d_e = _check_d_e(m.shape[0] // 4)
         object.__setattr__(self, "v", _frozen_isometry(m, (4 * d_e, 2), "v"))
         amp0, amp1 = math.sqrt(self.p0), math.sqrt(max(0.0, 1.0 - self.p0))
-        rounds = {}
-        for name, sign, b in ((REFLECT, 1.0, 0), (MEASURE_RESEND, 1.0, 1), (_AUX, -1.0, 0)):
-            psi = np.zeros((4, 2, d_e), dtype=complex)  # ((A1, A2), B, E)
-            psi[:, 0, :] = amp0 * self.v[:, 0].reshape(4, d_e)
-            psi[:, b, :] += sign * amp1 * self.v[:, 1].reshape(4, d_e)
-            psi.setflags(write=False)
-            rounds[name] = psi.reshape(-1)
-        object.__setattr__(self, "_rounds", MappingProxyType(rounds))
+        v = self.v.reshape(4, 1, d_e, 2)  # ((A1, A2), B, E, column)
+        rounds = amp0 * _COLUMN0_SIGNS * v[..., 0] + amp1 * _COLUMN1_SIGNS * v[..., 1]
+        rounds.setflags(write=False)  # (round, (A1, A2), B, E)
+        object.__setattr__(self, "_rounds", MappingProxyType(dict(zip(_ROUNDS, rounds.reshape(3, -1)))))
         object.__setattr__(self, "_layout", layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e)))
 
     @property
@@ -270,16 +274,29 @@ def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
     return out.reshape(4, 2)
 
 
-def _forward_and_reverse(attack) -> tuple[np.ndarray, np.ndarray]:
-    """The forward map T -> T (x) E (ancilla from |0>) and the reverse unitary."""
-    if isinstance(attack, CollectiveAttack):
-        return attack.u_forward[:, [0, attack.d_e]], attack.u_reverse
-    if isinstance(attack, RestrictedAttack):
-        # the forward isometry's two-dimensional ancilla embedded into C^{d_e}
-        forward = np.zeros((2, attack.d_e, 2), dtype=complex)
-        forward[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
-        return forward.reshape(2 * attack.d_e, 2), attack.u
-    raise TypeError(f"unsupported attack type {type(attack).__name__}")
+def _round_map(attack, op: str) -> np.ndarray:
+    """The read-only (T B E) x 2 map of A's qubit through the forward map, B's ``op``
+    and the reverse unitary, built on first use and held in the attack's ``_maps``.
+
+    A's input rides as a trailing factor, so both columns take the round together.
+    """
+    if not isinstance(attack, (CollectiveAttack, RestrictedAttack)):
+        raise TypeError(f"unsupported attack type {type(attack).__name__}")
+    if op not in (MEASURE_RESEND, REFLECT):
+        raise ValueError(f"unknown operation {op!r}")
+    if op not in attack._maps:
+        if isinstance(attack, CollectiveAttack):
+            forward, u_rev = attack.u_forward[:, [0, attack.d_e]], attack.u_reverse
+        else:
+            # the forward isometry's two-dimensional ancilla embedded into C^{d_e}
+            forward = np.zeros((2, attack.d_e, 2), dtype=complex)
+            forward[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
+            u_rev = attack.u
+        psi, lay = bob_operation(forward.reshape(-1), layout(("T", 2), ("E", attack.d_e), ("A", 2)), op)
+        m = _apply_local(u_rev, psi, lay, ["T", "E"]).reshape(-1, 2)
+        m.setflags(write=False)
+        attack._maps[op] = m
+    return attack._maps[op]
 
 
 def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAttack:
@@ -335,29 +352,21 @@ def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAtt
     return RestrictedAttack(alpha, beta, eta0, eta1, attack.u_reverse @ v, d_e)
 
 
-def _two_way_round(
-    forward_state: np.ndarray, lay: SubsystemLayout, u_rev: np.ndarray, bob_op: str, t_label: str = "T"
-) -> DensityOperator:
-    """B's operation, then the reverse unitary on (T, E); the returning T is labeled ``t_label``."""
-    psi, lay = bob_operation(forward_state, lay, bob_op)
-    psi = _apply_local(u_rev, psi, lay, ["T", "E"])
-    return DensityOperator.from_state(psi, lay.relabel({"T": t_label}))
-
-
 def simulate_sqkd(attack, alice_state: np.ndarray, bob_op: str) -> DensityOperator:
     """One round of the prepare-and-measure protocol under attack.
 
     A sends ``alice_state`` through the forward channel, B applies
     ``bob_op``, and the qubit returns through the reverse channel. Returns
-    the exact joint state over (T, B, E) just before A's final measurement.
+    the exact joint state over (T, B, E) just before A's final measurement,
+    the attack's held round map applied to ``alice_state``.
     """
     a = np.asarray(alice_state, dtype=complex).reshape(-1)
     if a.shape != (2,):
         raise ValueError(f"alice state must be a qubit, got dimension {a.shape}")
     if not abs(np.linalg.norm(a) - 1.0) <= TOL.norm:
         raise ValueError("alice state is not normalized")
-    forward, u_rev = _forward_and_reverse(attack)
-    return _two_way_round(forward @ a, layout(("T", 2), ("E", attack.d_e)), u_rev, bob_op)
+    psi = _round_map(attack, bob_op) @ a
+    return DensityOperator.from_state(psi, layout(("T", 2), ("B", 2), ("E", attack.d_e)))
 
 
 def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
@@ -367,11 +376,9 @@ def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
     half through the attacked two-way channel exactly as in
     :func:`simulate_sqkd`. Returns the joint state over (A1, A2, B, E).
     """
-    forward, u_rev = _forward_and_reverse(attack)
-    # the Bell pair's A1 = a branch sends |a> into the forward map
-    psi = forward.T.reshape(-1) / math.sqrt(2.0)
-    lay = layout(("A1", 2), ("T", 2), ("E", attack.d_e))
-    return _two_way_round(psi, lay, u_rev, bob_op, t_label="A2")
+    # the round map's Choi vector: the Bell pair's A1 = a branch sends |a> through the round
+    psi = _round_map(attack, bob_op).T.reshape(-1) / math.sqrt(2.0)
+    return DensityOperator.from_state(psi, layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e)))
 
 
 def build_rewind(attack: RestrictedAttack) -> np.ndarray:

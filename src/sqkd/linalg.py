@@ -97,12 +97,6 @@ class SubsystemLayout:
     def dim_of(self, label: str) -> int:
         return self.factors[self.position(label)][1]
 
-    def relabel(self, mapping: dict[str, str]) -> "SubsystemLayout":
-        """Rename factors; labels absent from ``mapping`` are kept."""
-        return SubsystemLayout(
-            tuple((mapping.get(lab, lab), d) for lab, d in self.factors)
-        )
-
 
 def layout(*factors: tuple[str, int]) -> SubsystemLayout:
     """Convenience constructor: ``layout(("T", 2), ("E", 4))``."""

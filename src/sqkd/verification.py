@@ -263,7 +263,17 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     """Compute all entropic diagnostics for one symmetric attack (q0 = q1)."""
     reduced = derive_reduced_attack(attack)
     stats = estimate_noise_stats(reduced)
-    reflect_state, resend_state, aux_state = reduced_round_states(reduced)
+    d_e = attack.d_e
+    # Each key state is block-diagonal in A1, with d_E x d_E blocks rho_a, so
+    # S(A1^Z|E) = sum_a S(rho_a) - S(rho_0 + rho_1) and td(reflect, aux) is
+    # 1/2 sum_a ||rho_a - sigma_a||_1: one eigvalsh over 6 blocks, 3 sums, 2 differences
+    key_states = reduced_round_states(reduced)
+    blocks = np.stack([np.einsum("aiaj->aij", k.matrix.reshape(2, d_e, 2, d_e)) for k in key_states])
+    stack = [blocks.reshape(6, d_e, d_e), blocks.sum(axis=1), blocks[0] - blocks[2]]
+    lam = np.linalg.eigvalsh(np.concatenate(stack))
+    kept = np.where(lam > TOL.eigen_clamp, lam, 1.0)  # a clamped eigenvalue adds 1 log2 1 = 0
+    h = -np.sum(kept * np.log2(kept), axis=1)
+    s_reflect, s_resend, s_aux = map(float, h[:6].reshape(3, 2).sum(axis=1) - h[6:9])
 
     pinched_x = measure_register(_round_marginal(reduced, REFLECT, {"A1", "A2"}), "A1", "X")
     s_x_given_a2 = conditional_entropy(pinched_x, {"A1"}, {"A2"})
@@ -276,13 +286,13 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
 
     return SymmetricAttackDiagnostics(
         q=stats.q_fwd,
-        d_e=attack.d_e,
+        d_e=d_e,
         q_x=stats.q_x,
-        s_reflect=conditional_entropy(reflect_state, {"A1"}, {"E"}),
-        s_resend=conditional_entropy(resend_state, {"A1"}, {"E"}),
-        s_aux=conditional_entropy(aux_state, {"A1"}, {"E"}),
+        s_reflect=s_reflect,
+        s_resend=s_resend,
+        s_aux=s_aux,
         s_x_given_a2=s_x_given_a2,
-        td_reflect_aux=trace_distance(reflect_state, aux_state),
+        td_reflect_aux=0.5 * float(np.sum(np.abs(lam[9:]))),
         h_key_given_b=h_key_given_b,
     )
 

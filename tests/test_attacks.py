@@ -241,19 +241,46 @@ def test_two_way_round_matches_kron_construction(d_e):
     for attack in (random_collective_attack(d_e, rng), random_restricted_attack(d_e, rng)):
         forward = forward_map_by_kron(attack)
         for op in (MEASURE_RESEND, REFLECT):
-            for state in alice_states():
+            # random complex unit states too, so both round-map columns and their phases count
+            randoms = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            for state in [*alice_states(), *(randoms / np.linalg.norm(randoms, axis=1, keepdims=True))]:
                 expected_layout, expected = two_way_round_by_kron(
                     attack, forward @ state, layout(("T", 2), ("E", d_e)), op
                 )
                 out = simulate_sqkd(attack, state, op)
                 assert out.layout == expected_layout
                 assert np.max(np.abs(out.matrix - expected)) < EXACT
+            held = attack._maps[op]
             expected_layout, expected = two_way_round_by_kron(
                 attack, np.kron(np.eye(2), forward) @ bell, layout(("A1", 2), ("T", 2), ("E", d_e)), op
             )
             out = simulate_entangled_sqkd(attack, op)
-            assert out.layout == expected_layout.relabel({"T": "A2"})
+            assert out.layout.factors == (("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
+            assert expected_layout.labels == ("A1", "T", "B", "E")
             assert np.max(np.abs(out.matrix - expected)) < EXACT
+            # the map is built once: both simulators read the same read-only matrix
+            assert attack._maps[op] is held
+            assert held.shape == (4 * d_e, 2)
+            with pytest.raises(ValueError):
+                held[0, 0] = 0.0
+        assert sorted(attack._maps) == sorted((MEASURE_RESEND, REFLECT))
+
+
+def test_round_map_validation_holds_no_map():
+    rng = np.random.default_rng(19)
+    for attack in (random_collective_attack(2, rng), identity_symmetric()):
+        with pytest.raises(ValueError):
+            simulate_sqkd(attack, basis_state(2, 0), "teleport")
+        with pytest.raises(ValueError):
+            simulate_entangled_sqkd(attack, "teleport")
+        with pytest.raises(ValueError):
+            simulate_sqkd(attack, np.array([1.0, 1.0]), REFLECT)
+        assert attack._maps == {}
+    reduced = ReducedAttack(0.5, IDENTITY_REDUCED)
+    with pytest.raises(TypeError):
+        simulate_sqkd(reduced, basis_state(2, 0), REFLECT)
+    with pytest.raises(TypeError):
+        simulate_entangled_sqkd(reduced, MEASURE_RESEND)
 
 
 def test_simulate_sqkd_identity_attack():

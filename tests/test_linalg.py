@@ -53,9 +53,6 @@ def test_layout_basics():
     assert lay.dims == (2, 2, 3)
     assert lay.position("E") == 2
     assert lay.dim_of("T") == 2
-    renamed = lay.relabel({"T": "A2"})
-    assert renamed.labels == ("A1", "A2", "E")
-    assert renamed.dims == lay.dims
 
 
 def test_layout_validation():
@@ -367,7 +364,7 @@ def test_trace_distance_rejects_mismatched_layouts():
     with pytest.raises(ValueError):
         trace_distance(te, et)
     with pytest.raises(ValueError):
-        trace_distance(te, DensityOperator(te.matrix, te.layout.relabel({"T": "A1"})))
+        trace_distance(te, DensityOperator(te.matrix, layout(("A1", 2), ("E", 3))))
 
 
 def test_trace_distance_triangle_inequality():

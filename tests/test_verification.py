@@ -3,6 +3,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqkd.attacks import (
     MEASURE_RESEND,
@@ -196,6 +198,33 @@ def test_vector_route_matches_density_matrix_route(attacks):
         for name in SymmetricAttackDiagnostics.__dataclass_fields__:
             assert abs(getattr(diag, name) - getattr(reference, name)) <= EXACT, name
         stats = estimate_noise_stats(derive_reduced_attack(attack))
+        for value, expected in zip((stats.q_fwd, stats.q_rev, stats.q_x), reference_stats):
+            assert abs(value - expected) <= EXACT
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.sampled_from((2, 3, 4, 8)),
+)
+def test_e_side_rotation_leaves_every_observable_unchanged(seed, q, d_e):
+    # (I_T (x) W) U only rotates E after the last round, so nothing A and B see,
+    # and no entropy or distance conditioned on E, may move
+    rng = np.random.default_rng(seed)
+    attack = random_symmetric_attack(q, rng, d_e)
+    w = np.kron(np.eye(2), haar_random_unitary(d_e, rng))
+    rotated = RestrictedAttack(attack.q0, attack.q1, attack.eta0, attack.eta1, w @ attack.u, d_e)
+    diag, turned = symmetric_attack_diagnostics(attack), symmetric_attack_diagnostics(rotated)
+    for name in SymmetricAttackDiagnostics.__dataclass_fields__:
+        assert abs(getattr(turned, name) - getattr(diag, name)) <= EXACT, name
+    # each block-route quantity is a spectrum of E blocks, so a wrong combination of
+    # blocks is just as invariant: they are also checked against the density-matrix route
+    reference, reference_stats = density_matrix_reference(attack)
+    for name in ("s_reflect", "s_resend", "s_aux", "td_reflect_aux"):
+        assert abs(getattr(turned, name) - getattr(reference, name)) <= EXACT, name
+    for form in (attack, rotated, derive_reduced_attack(rotated)):
+        stats = estimate_noise_stats(form)
         for value, expected in zip((stats.q_fwd, stats.q_rev, stats.q_x), reference_stats):
             assert abs(value - expected) <= EXACT
 
