@@ -52,7 +52,6 @@ from .linalg import (
     conditional_entropy,
     embed_operator,
     haar_random_unitary,
-    hermitian_eigen,
     layout,
     measure_register,
     partial_trace,

@@ -192,7 +192,6 @@ class ReducedAttack:
     v: np.ndarray
     _rounds: MappingProxyType = field(init=False, repr=False, compare=False)
     _layout: SubsystemLayout = field(init=False, repr=False, compare=False)
-    _states: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
@@ -436,14 +435,11 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> over (A1, A2, B), with
     b = 0 on reflect rounds and b = 1 on measure-and-resend rounds, and
     the attack isometry acts on (A1, A2, E). Returns the pure joint state
-    over (A1, A2, B, E), built from the attack's held round vector on first
-    use; repeated calls return the same immutable state.
+    over (A1, A2, B, E), the projector of the attack's held round vector.
     """
     if choice not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {choice!r}")
-    if choice not in attack._states:
-        attack._states[choice] = DensityOperator.from_state(attack._rounds[choice], attack._layout)
-    return attack._states[choice]
+    return DensityOperator.from_state(attack._rounds[choice], attack._layout)
 
 
 def reduced_round_states(

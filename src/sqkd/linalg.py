@@ -35,7 +35,6 @@ __all__ = [
     "basis_state",
     "embed_operator",
     "partial_trace",
-    "hermitian_eigen",
     "trace_norm",
     "trace_distance",
     "binary_entropy",
@@ -271,18 +270,6 @@ def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` sorted in descending
-    order and unitary ``v`` whose columns are the matching eigenvectors,
-    so that ``m = v @ diag(w) @ v.conj().T``.
-    """
-    h = _require_hermitian(m, "hermitian_eigen")
-    w, v = np.linalg.eigh(h)
-    return w[::-1], v[:, ::-1]
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm ||m||_1 of a Hermitian matrix: sum of |eigenvalues|."""
     h = _require_hermitian(m, "trace_norm")
@@ -340,14 +327,19 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Von Neumann entropy S(rho) = -sum_i lam_i log2 lam_i in bits.
+def _entropy_bits(lam: np.ndarray) -> np.ndarray:
+    """-sum lam log2 lam in bits over the last axis of an eigenvalue stack.
 
-    Eigenvalues below 1e-12 are clamped to zero before taking logs.
+    Every positive eigenvalue counts, however small; one at or below 0
+    (roundoff of a zero eigenvalue) adds 0, as 0 log 0 := 0.
     """
-    lam = np.linalg.eigvalsh(rho.matrix)
-    lam = lam[lam > TOL.eigen_clamp]
-    return float(-np.sum(lam * np.log2(lam)))
+    kept = np.where(lam > 0.0, lam, 1.0)  # 1 log2 1 = 0
+    return -np.sum(kept * np.log2(kept), axis=-1)
+
+
+def von_neumann_entropy(rho: DensityOperator) -> float:
+    """Von Neumann entropy S(rho) = -sum_i lam_i log2 lam_i in bits, by :func:`_entropy_bits`."""
+    return float(_entropy_bits(np.linalg.eigvalsh(rho.matrix)))
 
 
 def conditional_entropy(

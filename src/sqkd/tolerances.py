@@ -7,7 +7,8 @@ roundoff slack of range checks (``linalg._check_range`` and the |eta| <= 1
 check of ``attacks.RestrictedAttack``), the 1e-12 floors below which
 ``derive_restricted_from_collective``, ``build_rewind`` and
 ``random_restricted_attack`` treat a norm or coefficient as zero, and the
-``_MONOTONE_SLACK`` of ``keyrate.noise_threshold``.
+``_MONOTONE_SLACK`` of ``keyrate.noise_threshold``. Entropies take no
+tolerance: ``linalg._entropy_bits`` counts every positive eigenvalue.
 
 The record is frozen and every module binds ``DEFAULT`` at import
 (``from .tolerances import DEFAULT as TOL``), so rebinding ``DEFAULT``
@@ -32,7 +33,6 @@ class Tolerances:
     norm: float = 1e-10             # state-vector normalization
     constraint: float = 1e-10       # restricted-attack parameter constraint
     eta_degenerate: float = 1e-8    # |eta| >= 1 - eta_degenerate is degenerate
-    eigen_clamp: float = 1e-12      # entropy eigenvalue clamp
     equivalence: float = 1e-9       # trace-distance residual between protocols
     decomposition: float = 1e-10    # resend = (reflect + aux)/2 residual
 

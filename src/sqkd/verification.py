@@ -48,12 +48,11 @@ from .keyrate import (
 )
 from .linalg import (
     _check_integer,
+    _entropy_bits,
     binary_entropy,
     conditional_entropy,
-    hermitian_eigen,
     measure_register,
     trace_distance,
-    trace_norm,
 )
 from .tolerances import DEFAULT as TOL
 
@@ -221,17 +220,17 @@ def vector_pair_residual(v0: np.ndarray, v1: np.ndarray) -> float:
     v0 = np.asarray(v0, dtype=complex).reshape(-1)
     v1 = np.asarray(v1, dtype=complex).reshape(-1)
     m = np.outer(v0, v1.conj()) + np.outer(v1, v0.conj())
-    tn = trace_norm(m)
+    w = np.linalg.eigvalsh(m)  # ascending, so lam_plus pairs with w[-1]
+    tn = float(np.sum(np.abs(w)))
     n0 = float(np.real(np.vdot(v0, v0)))
     n1 = float(np.real(np.vdot(v1, v1)))
     ip = complex(np.vdot(v0, v1))
     root = math.sqrt(max(0.0, n0 * n1 - ip.imag**2))
     lam_plus, lam_minus = ip.real + root, ip.real - root
-    w, _ = hermitian_eigen(m)
     return max(
         tn - 2.0 * math.sqrt(n0 * n1),  # bound violation (negative when satisfied)
-        abs(w[0] - lam_plus),
-        abs(w[-1] - lam_minus),
+        abs(w[-1] - lam_plus),
+        abs(w[0] - lam_minus),
         abs(tn - (lam_plus - lam_minus)),
         0.0,
     )
@@ -271,8 +270,7 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     blocks = np.stack([np.einsum("aiaj->aij", k.matrix.reshape(2, d_e, 2, d_e)) for k in key_states])
     stack = [blocks.reshape(6, d_e, d_e), blocks.sum(axis=1), blocks[0] - blocks[2]]
     lam = np.linalg.eigvalsh(np.concatenate(stack))
-    kept = np.where(lam > TOL.eigen_clamp, lam, 1.0)  # a clamped eigenvalue adds 1 log2 1 = 0
-    h = -np.sum(kept * np.log2(kept), axis=1)
+    h = _entropy_bits(lam)
     s_reflect, s_resend, s_aux = map(float, h[:6].reshape(3, 2).sum(axis=1) - h[6:9])
 
     pinched_x = measure_register(_round_marginal(reduced, REFLECT, {"A1", "A2"}), "A1", "X")
@@ -282,7 +280,7 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     resend_a1_b = _round_marginal(reduced, MEASURE_RESEND, {"A1", "B"})
     p_a1_b = np.real(np.diagonal(resend_a1_b.matrix)).reshape(2, 2)
     p_b = p_a1_b.sum(axis=0)
-    h_key_given_b = sum(p_b[b] * binary_entropy(p_a1_b[1, b] / p_b[b]) for b in (0, 1) if p_b[b] > 0)
+    h_key_given_b = float(sum(p_b[b] * binary_entropy(p_a1_b[1, b] / p_b[b]) for b in (0, 1) if p_b[b] > 0))
 
     return SymmetricAttackDiagnostics(
         q=stats.q_fwd,

@@ -1,6 +1,9 @@
-"""The package's public surface: every exported name resolves, and sizes are integers."""
+"""The package's public surface: every exported name resolves, sizes are integers, and every
+tolerance has a reader."""
 import ast
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import sqkd
 from sqkd.attacks import random_collective_attack
 from sqkd.keyrate import EQUAL, keyrate_curve
 from sqkd.linalg import basis_state, haar_random_unitary, layout
+from sqkd.tolerances import Tolerances
 from sqkd.verification import check_lemma_trd
 
 
@@ -55,3 +59,11 @@ def test_non_integral_sizes_are_rejected(size_of):
         assert size_of(10**400) == 10**400
     except ValueError as exc:
         assert "beyond float range" in str(exc)
+
+
+def test_every_tolerance_is_read():
+    # a tolerance whose last reader is gone is a dead knob: delete it with that reader
+    source = "".join(path.read_text(encoding="utf-8") for path in Path(sqkd.__file__).parent.glob("*.py"))
+    read = set(re.findall(r"\bTOL\.(\w+)", source))
+    unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read]
+    assert not unread, f"tolerances no module reads as TOL.<field>: {unread}"

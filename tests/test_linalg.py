@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kron_reference import permute_factors
@@ -21,7 +21,6 @@ from sqkd.linalg import (
     conditional_entropy,
     embed_operator,
     haar_random_unitary,
-    hermitian_eigen,
     layout,
     measure_register,
     partial_trace,
@@ -225,25 +224,6 @@ def test_partial_trace_product_and_order():
         partial_trace(rho, {"B"})
 
 
-def test_hermitian_eigen_contract():
-    rng = np.random.default_rng(4)
-    for trial in range(1000):
-        dim = 1 + trial % 16
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = m + m.conj().T
-        w, v = hermitian_eigen(h)
-        assert np.all(np.diff(w) <= EXACT)  # descending
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) < 1e-9
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigen(np.zeros((2, 3)))
-
-
 def test_trace_norm_values():
     assert abs(trace_norm(np.diag([3.0, -4.0])) - 7.0) < EXACT
     rng = np.random.default_rng(5)
@@ -254,6 +234,8 @@ def test_trace_norm_values():
         assert abs(trace_norm(h) - np.linalg.svd(h, compute_uv=False).sum()) < 1e-10
     with pytest.raises(ValueError):
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        trace_norm(np.zeros((2, 3)))
 
 
 def test_trace_distance_reference_values():
@@ -411,6 +393,24 @@ def test_von_neumann_entropy_values():
         assert abs(von_neumann_entropy(mixed) - math.log2(d)) < EXACT
     bell = DensityOperator.from_state(BELL, layout(("A1", 2), ("A2", 2)))
     assert abs(von_neumann_entropy(partial_trace(bell, {"A1"})) - 1.0) < EXACT
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.floats(min_value=0.0, max_value=1e-10, exclude_min=True),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.integers(3, 8).flatmap(lambda d: st.permutations(range(d))),
+)
+@example(1e-12, 0.25, [2, 0, 1])
+@example(1e-13, 0.0, [0, 3, 1, 2])
+def test_entropy_keeps_every_positive_eigenvalue(small, x, order):
+    # spectrum (1 - x - small, x, small, 0, ...) on a permuted diagonal, whose
+    # eigenvalues eigvalsh returns exactly: only the treatment of small shows
+    spectrum = np.zeros(len(order))
+    spectrum[order[:3]] = (1.0 - x - small, x, small)
+    rho = DensityOperator(np.diag(spectrum), layout(("E", len(order))))
+    expected = sum(-p * math.log2(p) for p in spectrum if p > 0.0)
+    assert abs(von_neumann_entropy(rho) - expected) <= 1e-14
 
 
 def test_conditional_entropy_values():

@@ -3,14 +3,16 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkd.attacks import (
     MEASURE_RESEND,
     REFLECT,
+    CollectiveAttack,
     RestrictedAttack,
     derive_reduced_attack,
+    derive_restricted_from_collective,
     estimate_noise_stats,
     random_symmetric_attack,
     simulate_reduced,
@@ -37,10 +39,14 @@ from sqkd.verification import (
     symmetric_attack_diagnostics,
     symmetric_diagnostics_sample,
     trial_rng,
+    uncertainty_residual,
     vector_pair_residual,
 )
 
 EXACT = 1e-12
+# Z error rates below the grid, where an entropy that drops small positive
+# eigenvalues reads up to h(1e-12) ~ 4e-11 bits low
+EDGE_Q = (1e-12, 1e-9, 1e-6)
 
 
 def test_trial_rng_streams():
@@ -118,6 +124,9 @@ def test_symmetric_sample_shape_and_content():
         assert 0.0 <= diag.q_x <= 1.0
         # entropies of qubit key registers stay in [0, 1]
         assert -EXACT <= diag.s_reflect <= 1.0 + EXACT
+        # plain Python numbers, not numpy scalars
+        for name, value in vars(diag).items():
+            assert type(value) is (int if name == "d_e" else float), name
     # deterministic under the same seed
     again = symmetric_diagnostics_sample(2, seed=21)
     assert [d.q_x for d in again] == [d.q_x for d in sample]
@@ -125,7 +134,7 @@ def test_symmetric_sample_shape_and_content():
 
 def _symmetric_attacks(d_e):
     rng = np.random.default_rng(40 + d_e)
-    return [random_symmetric_attack(q, rng, d_e) for q in Q_GRID]
+    return [random_symmetric_attack(q, rng, d_e) for q in (*Q_GRID, *EDGE_Q)]
 
 
 def _degenerate_attacks():
@@ -208,6 +217,9 @@ def test_vector_route_matches_density_matrix_route(attacks):
     st.floats(min_value=0.0, max_value=0.5),
     st.sampled_from((2, 3, 4, 8)),
 )
+@example(0, EDGE_Q[0], 2)
+@example(1, EDGE_Q[1], 3)
+@example(2, EDGE_Q[2], 8)
 def test_e_side_rotation_leaves_every_observable_unchanged(seed, q, d_e):
     # (I_T (x) W) U only rotates E after the last round, so nothing A and B see,
     # and no entropy or distance conditioned on E, may move
@@ -219,14 +231,76 @@ def test_e_side_rotation_leaves_every_observable_unchanged(seed, q, d_e):
     for name in SymmetricAttackDiagnostics.__dataclass_fields__:
         assert abs(getattr(turned, name) - getattr(diag, name)) <= EXACT, name
     # each block-route quantity is a spectrum of E blocks, so a wrong combination of
-    # blocks is just as invariant: they are also checked against the density-matrix route
+    # blocks is just as invariant: every field is also checked against the density-matrix route
     reference, reference_stats = density_matrix_reference(attack)
-    for name in ("s_reflect", "s_resend", "s_aux", "td_reflect_aux"):
+    for name in SymmetricAttackDiagnostics.__dataclass_fields__:
         assert abs(getattr(turned, name) - getattr(reference, name)) <= EXACT, name
     for form in (attack, rotated, derive_reduced_attack(rotated)):
         stats = estimate_noise_stats(form)
         for value, expected in zip((stats.q_fwd, stats.q_rev, stats.q_x), reference_stats):
             assert abs(value - expected) <= EXACT
+
+
+# named d_E = 2 attacks: (forward, reverse) unitaries on (T, E), T the leading factor
+CNOT_T_TO_E = np.eye(4)[:, [0, 1, 3, 2]]
+Z_ON_T = np.diag([1.0, 1.0, -1.0, -1.0])
+NAMED_ATTACKS = {
+    "no-attack": (np.eye(4), np.eye(4)),
+    "z-copy-intercept": (CNOT_T_TO_E, np.eye(4)),
+    "reverse-phase-flip": (np.eye(4), Z_ON_T),
+}
+# fields in order: q, d_e, q_x, s_reflect, s_resend, s_aux, s_x_given_a2, td_reflect_aux, h_key_given_b
+CLOSED_FORMS = {
+    "no-attack": SymmetricAttackDiagnostics(0.0, 2, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+    "z-copy-intercept": SymmetricAttackDiagnostics(0.0, 2, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+    "reverse-phase-flip": SymmetricAttackDiagnostics(0.0, 2, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ATTACKS))
+def test_named_attacks_match_closed_forms(name):
+    """Diagnostics of three named attacks, derived by hand.
+
+    In the entangled picture A1 keeps half of (|00> + |11>)/sqrt(2), A2 is
+    the returning transit qubit, B's resend copies its Z value onto B, and
+    the aux run negates the |11> branch. A key state is the A1 Z pinch of
+    a round's (A1, E) marginal; E starts in |0>.
+
+    - No attack: reflect leaves (|00> + |11>)/sqrt(2) (x) |0>_E and resend
+      (|000> + |111>)/sqrt(2) (x) |0>_E. Every key state, aux included, is
+      I/2 (x) |0><0|, so S(A1^Z|E) = 1 - 0 = 1 on all three rounds and
+      td(reflect, aux) = 0. A2 and B equal A1: q = q_rev = Q_X = 0 and
+      H(A1^Z|B^Z) = 0. The Bell pair is (|++> + |-->)/sqrt(2), whose A1 X
+      pinch is (|++><++| + |--><--|)/2: S(A1^X|A2) = 1 - 1 = 0.
+    - Z-copy intercept (forward CNOT from T onto E, reverse identity):
+      reflect leaves (|000> + |111>)/sqrt(2) on (A1, A2, E), so every key
+      state is (|00><00| + |11><11|)/2 on (A1, E): S(A1^Z|E) = 1 - 1 = 0
+      and td = 0. Z values still agree: q = q_rev = 0, H(A1^Z|B^Z) = 0.
+      The (A1, A2) marginal (|00><00| + |11><11|)/2 has <X (x) X> = 0, so
+      Q_X = 1/2, and its A1 X pinch is I/4: S(A1^X|A2) = 2 - 1 = 1.
+    - Reverse phase flip (forward identity, reverse Z on T): reflect leaves
+      (|00> - |11>)/sqrt(2) (x) |0>_E and aux (|00> + |11>)/sqrt(2) (x) |0>_E,
+      with key states as under no attack: S(A1^Z|E) = 1, td = 0,
+      q = q_rev = 0 and H(A1^Z|B^Z) = 0. (|00> - |11>)/sqrt(2) is
+      (|+-> + |-+>)/sqrt(2): X values always differ, Q_X = 1, and the A1 X
+      pinch (|+-><+-| + |-+><-+|)/2 gives S(A1^X|A2) = 1 - 1 = 0.
+
+    In all three S(A1^Z|E) + S(A1^X|A2) = 1: the uncertainty relation is
+    tight, an edge that Haar-sampled attacks never reach.
+    """
+    collective = CollectiveAttack(*NAMED_ATTACKS[name], 2)
+    restricted = derive_restricted_from_collective(collective)
+    expected = CLOSED_FORMS[name]
+    for form in (collective, restricted, derive_reduced_attack(restricted)):
+        stats = estimate_noise_stats(form)
+        observed = (stats.q_fwd, stats.q_rev, stats.q_x)
+        for value, closed_form in zip(observed, (expected.q, 0.0, expected.q_x)):
+            assert abs(value - closed_form) <= EXACT
+    diag = symmetric_attack_diagnostics(restricted)
+    for field in SymmetricAttackDiagnostics.__dataclass_fields__:
+        assert abs(getattr(diag, field) - getattr(expected, field)) <= EXACT, field
+    assert abs(diag.s_reflect + diag.s_x_given_a2 - 1.0) <= EXACT
+    assert uncertainty_residual(diag) <= EXACT
 
 
 def test_run_all_checks_order_and_passes():
