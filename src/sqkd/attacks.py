@@ -42,6 +42,7 @@ from .linalg import (
     _check_integer,
     _check_range,
     _contract,
+    _haar_unitaries,
     _pure_marginal,
     basis_state,
     complete_isometry,
@@ -96,6 +97,7 @@ _MAX_D_E = 8  # keeps every full system at dimension <= 64
 _ROUNDS = (REFLECT, MEASURE_RESEND, _AUX)
 _COLUMN0_SIGNS = np.array([1.0, 0.0]).reshape(2, 1)
 _COLUMN1_SIGNS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]).reshape(3, 1, 2, 1)
+_REDUCED_LABELS = ("A1", "A2", "B", "E")
 
 
 def _frozen_isometry(m: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -124,6 +126,7 @@ class CollectiveAttack:
     u_reverse: np.ndarray
     d_e: int
     _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         d_e = _check_d_e(self.d_e)
@@ -156,6 +159,7 @@ class RestrictedAttack:
     u: np.ndarray
     d_e: int
     _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         d_e = _check_d_e(self.d_e, minimum=2)
@@ -185,13 +189,13 @@ class ReducedAttack:
     so the attack is the read-only (4 d_e, 2) isometry ``v`` whose columns
     are its images of |000> and |110> on (A1, A2, E). The private ``_rounds``
     holds the reflect, resend and aux (reflect with amp1 negated) round vectors
-    amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b>, read-only, on ``_layout`` (A1, A2, B, E).
+    amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b>, read-only, on (A1, A2, B, E).
     """
 
     p0: float
     v: np.ndarray
     _rounds: MappingProxyType = field(init=False, repr=False, compare=False)
-    _layout: SubsystemLayout = field(init=False, repr=False, compare=False)
+    _layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
@@ -205,7 +209,6 @@ class ReducedAttack:
         rounds = amp0 * _COLUMN0_SIGNS * v[..., 0] + amp1 * _COLUMN1_SIGNS * v[..., 1]
         rounds.setflags(write=False)  # (round, (A1, A2), B, E)
         object.__setattr__(self, "_rounds", MappingProxyType(dict(zip(_ROUNDS, rounds.reshape(3, -1)))))
-        object.__setattr__(self, "_layout", layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e)))
 
     @property
     def d_e(self) -> int:
@@ -273,6 +276,13 @@ def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
     return out.reshape(4, 2)
 
 
+def _held_layout(attack, labels: tuple[str, ...]) -> SubsystemLayout:
+    """The layout over ``labels`` (qubits, and E of dimension d_e), held by the attack once built."""
+    if labels not in attack._layouts:
+        attack._layouts[labels] = layout(*((lab, attack.d_e if lab == "E" else 2) for lab in labels))
+    return attack._layouts[labels]
+
+
 def _round_map(attack, op: str) -> np.ndarray:
     """The read-only (T B E) x 2 map of A's qubit through the forward map, B's ``op``
     and the reverse unitary, built on first use and held in the attack's ``_maps``.
@@ -291,7 +301,7 @@ def _round_map(attack, op: str) -> np.ndarray:
             forward = np.zeros((2, attack.d_e, 2), dtype=complex)
             forward[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
             u_rev = attack.u
-        psi, lay = bob_operation(forward.reshape(-1), layout(("T", 2), ("E", attack.d_e), ("A", 2)), op)
+        psi, lay = bob_operation(forward.reshape(-1), _held_layout(attack, ("T", "E", "A")), op)
         m = _apply_local(u_rev, psi, lay, ["T", "E"]).reshape(-1, 2)
         m.setflags(write=False)
         attack._maps[op] = m
@@ -365,7 +375,7 @@ def simulate_sqkd(attack, alice_state: np.ndarray, bob_op: str) -> DensityOperat
     if not abs(np.linalg.norm(a) - 1.0) <= TOL.norm:
         raise ValueError("alice state is not normalized")
     psi = _round_map(attack, bob_op) @ a
-    return DensityOperator.from_state(psi, layout(("T", 2), ("B", 2), ("E", attack.d_e)))
+    return DensityOperator.from_state(psi, _held_layout(attack, ("T", "B", "E")))
 
 
 def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
@@ -377,7 +387,7 @@ def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
     """
     # the round map's Choi vector: the Bell pair's A1 = a branch sends |a> through the round
     psi = _round_map(attack, bob_op).T.reshape(-1) / math.sqrt(2.0)
-    return DensityOperator.from_state(psi, layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e)))
+    return DensityOperator.from_state(psi, _held_layout(attack, _REDUCED_LABELS))
 
 
 def build_rewind(attack: RestrictedAttack) -> np.ndarray:
@@ -420,13 +430,16 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     # the rewind's two-dimensional ancilla embedded into C^{d_e}
     rewind = np.zeros((4, d_e, 2), dtype=complex)
     rewind[:, :2, :] = build_rewind(attack).reshape(4, 2, 2)
-    lay = layout(("A1", 2), ("A2", 2), ("E", d_e))
-    reverse = embed_operator(attack.u, lay, ["A2", "E"])
+    reverse = embed_operator(attack.u, _held_layout(attack, ("A1", "A2", "E")), ["A2", "E"])
     return ReducedAttack(p0, reverse @ rewind.reshape(4 * d_e, 2))
 
 
-def _round_marginal(attack: ReducedAttack, name: str, keep: set[str]) -> DensityOperator:
-    return _pure_marginal(attack._rounds[name], attack._layout, keep)
+def _round_marginal(attack: ReducedAttack, name: str, labels: tuple[str, ...]) -> np.ndarray:
+    return _pure_marginal(attack._rounds[name], _held_layout(attack, _REDUCED_LABELS), labels)
+
+
+def _round_state(attack: ReducedAttack, name: str, labels: tuple[str, ...]) -> DensityOperator:
+    return DensityOperator._trusted(_round_marginal(attack, name, labels), _held_layout(attack, labels))
 
 
 def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
@@ -439,7 +452,7 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
     """
     if choice not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {choice!r}")
-    return DensityOperator.from_state(attack._rounds[choice], attack._layout)
+    return DensityOperator.from_state(attack._rounds[choice], _held_layout(attack, _REDUCED_LABELS))
 
 
 def reduced_round_states(
@@ -456,7 +469,7 @@ def reduced_round_states(
     Z pinch of a round's (A1, E) marginal, which commutes with tracing out A2, B.
     """
     reflect, resend, aux = (
-        measure_register(_round_marginal(attack, name, {"A1", "E"}), "A1", "Z")
+        measure_register(_round_state(attack, name, ("A1", "E")), "A1", "Z")
         for name in (REFLECT, MEASURE_RESEND, _AUX)
     )
     residual = np.max(np.abs(resend.matrix - 0.5 * reflect.matrix - 0.5 * aux.matrix))
@@ -485,11 +498,11 @@ def estimate_noise_stats(attack) -> NoiseStats:
     """
     if isinstance(attack, ReducedAttack):
         # P(A1, A2, B) on resend rounds; q_x = (1 - Re<X (x) X>) / 2 on reflect rounds
-        resend = _round_marginal(attack, MEASURE_RESEND, {"A1", "A2", "B"})
-        p = np.real(np.diagonal(resend.matrix)).reshape(2, 2, 2)
+        resend = _round_marginal(attack, MEASURE_RESEND, ("A1", "A2", "B"))
+        p = np.real(np.diagonal(resend)).reshape(2, 2, 2)
         q_fwd = p[0, :, 1].sum() + p[1, :, 0].sum()
         q_rev = p[:, 0, 1].sum() + p[:, 1, 0].sum()
-        a1a2 = _round_marginal(attack, REFLECT, {"A1", "A2"}).matrix
+        a1a2 = _round_marginal(attack, REFLECT, ("A1", "A2"))
         q_x = 0.5 * (1.0 - np.real(np.trace(np.fliplr(a1a2))))
         return NoiseStats(q_fwd, q_rev, q_x)
 
@@ -516,9 +529,7 @@ def estimate_noise_stats(attack) -> NoiseStats:
 def random_collective_attack(d_e: int, rng: np.random.Generator) -> CollectiveAttack:
     """Haar-random unitary pair on T (x) E."""
     d_e = _check_d_e(d_e, minimum=2)
-    return CollectiveAttack(
-        haar_random_unitary(2 * d_e, rng), haar_random_unitary(2 * d_e, rng), d_e
-    )
+    return CollectiveAttack(*_haar_unitaries(2 * d_e, rng, 2), d_e)
 
 
 def _disc_sample(rng: np.random.Generator) -> complex:
@@ -575,16 +586,9 @@ def random_symmetric_attack(q: float, rng: np.random.Generator, d_e: int = 2) ->
     d_e = _check_d_e(d_e, minimum=2)
     eta = _disc_sample(rng)
     half_theta = math.asin(math.sqrt(q))
-    rotation = np.array(
-        [
-            [math.cos(half_theta), -math.sin(half_theta)],
-            [math.sin(half_theta), math.cos(half_theta)],
-        ],
-        dtype=complex,
-    )
-    controlled = np.zeros((2 * d_e, 2 * d_e), dtype=complex)
-    controlled[:d_e, :d_e] = haar_random_unitary(d_e, rng)
-    controlled[d_e:, d_e:] = haar_random_unitary(d_e, rng)
-    u = controlled @ np.kron(rotation, np.eye(d_e, dtype=complex))
+    cos, sin = math.cos(half_theta), math.sin(half_theta)
+    c0, c1 = _haar_unitaries(d_e, rng, 2)
+    # C (R (x) I) block by block: row block t of C is C_t, block (t, s) of R (x) I is R[t, s] I
+    u = np.block([[c0 * cos, c0 * -sin], [c1 * sin, c1 * cos]])
     amp = math.sqrt(1.0 - q)
     return RestrictedAttack(amp, amp, eta, -np.conj(eta), u, d_e)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -78,6 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on main's first call, not at import, and reused by every later call
+_parser = functools.cache(build_parser)
+
+
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -134,9 +139,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,16 +74,16 @@ class SubsystemLayout:
             factors.append((lab, dim))
         object.__setattr__(self, "factors", tuple(factors))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Total dimension, the product of all factor dimensions."""
         return math.prod(d for _, d in self.factors)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.factors)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.factors)
 
@@ -129,14 +130,19 @@ class DensityOperator:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match layout dimension {self.layout.dim}"
             )
-        # each gate is written so that a NaN fails it
-        if not np.max(np.abs(m - m.conj().T)) <= TOL.hermitian:
+        # each gate is written so that a NaN fails it; an inf on the diagonal makes one here
+        with np.errstate(invalid="ignore"):
+            skew = m - m.conj().T
+        if not np.max(np.abs(skew)) <= TOL.hermitian:
             raise ValueError("density operator is not Hermitian within tolerance")
         tr = np.trace(m)
         if not (abs(tr.real - 1.0) <= TOL.trace_one and abs(tr.imag) <= TOL.trace_one):
             raise ValueError(f"density operator trace {tr} is not 1 within tolerance")
+        # skew's buffer takes the Hermitian part m - skew / 2, then psd on its diagonal
+        hermitian = np.subtract(m, 0.5 * skew, out=skew)
+        hermitian.flat[:: m.shape[0] + 1] += TOL.psd  # flat indexes in C order, whatever the memory order
         try:
-            np.linalg.cholesky((m + m.conj().T) / 2 + TOL.psd * np.eye(m.shape[0]))
+            np.linalg.cholesky(hermitian)
         except np.linalg.LinAlgError:
             raise ValueError("density operator has a negative eigenvalue beyond tolerance") from None
         m.setflags(write=False)
@@ -155,8 +161,9 @@ class DensityOperator:
     def from_state(cls, psi: np.ndarray, lay: SubsystemLayout) -> "DensityOperator":
         """Projector |psi><psi| of a normalized state vector, which it keeps as ``_vector``."""
         v = np.array(psi, dtype=complex).reshape(-1)
-        if not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
-            raise ValueError(f"state vector norm {np.linalg.norm(v)} is not 1 within tolerance")
+        norm = np.linalg.norm(v)
+        if not abs(norm * norm - 1.0) <= TOL.trace_one:  # the projector's trace is norm^2
+            raise ValueError(f"state vector norm {norm} is not 1 within tolerance")
         rho = cls(np.outer(v, v.conj()), lay)
         v.setflags(write=False)
         object.__setattr__(rho, "_vector", v)
@@ -185,20 +192,19 @@ def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...]
     """
     positions = [lay.position(lab) for lab in labels]
     dims = lay.dims
-    n = len(dims)
+    n, k = len(dims), len(positions)
     rest = [i for i in range(n) if i not in positions]
     d_act = math.prod(dims[i] for i in positions)
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_act, d_act):
         raise ValueError(f"operator shape {op.shape} does not match factor dimensions {d_act}")
-    full = np.kron(op, np.eye(d_rest, dtype=complex))
-    shape = tuple(dims[i] for i in positions) + tuple(dims[i] for i in rest)
-    full = full.reshape(shape * 2)
-    perm = positions + rest
-    inv = np.argsort(perm)
-    full = full.transpose([int(i) for i in inv] + [n + int(i) for i in inv])
-    return full.reshape(lay.dim, lay.dim)
+    rest_dims = tuple(dims[i] for i in rest)
+    eye = np.eye(math.prod(rest_dims), dtype=complex).reshape(rest_dims * 2)
+    full = np.multiply.outer(op.reshape(tuple(dims[i] for i in positions) * 2), eye)
+    # full's axes: named rows and columns, then the others'; inv[f] is f's place in positions + rest
+    inv = [int(i) for i in np.argsort(positions + rest)]
+    axes = [i if i < k else k + i for i in inv] + [k + i if i < k else n + i for i in inv]
+    return full.transpose(axes).reshape(lay.dim, lay.dim)
 
 
 def _contract(op_tensor: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -247,18 +253,18 @@ def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[
     out += [col[i] for i, (lab, _) in enumerate(factors) if lab in keep_set]
     reduced = np.einsum("".join(row + col) + "->" + "".join(out), t)
     kept = tuple(f for f in factors if f[0] in keep_set)
-    d = math.prod(dim for _, dim in kept)
-    return DensityOperator._trusted(reduced.reshape(d, d), SubsystemLayout(kept))
+    lay = rho.layout if len(kept) == n else SubsystemLayout(kept)
+    return DensityOperator._trusted(reduced.reshape(lay.dim, lay.dim), lay)
 
 
-def _pure_marginal(psi: np.ndarray, lay: SubsystemLayout, keep: set[str]) -> DensityOperator:
-    """The marginal on ``keep`` of the unit vector ``psi`` on ``lay``, as one Gram product."""
+def _pure_marginal(psi: np.ndarray, lay: SubsystemLayout, keep: tuple[str, ...] | set[str]) -> np.ndarray:
+    """The marginal matrix on ``keep``, in layout order, of the unit vector ``psi`` on ``lay``."""
     # M is psi with the kept axes first, in layout order; the marginal is M M^dagger
     kept = sorted(lay.position(lab) for lab in keep)
-    sub = SubsystemLayout(tuple(lay.factors[i] for i in kept))
     rest = [i for i in range(len(lay.factors)) if i not in kept]
-    m = np.transpose(psi.reshape(lay.dims), kept + rest).reshape(sub.dim, -1)
-    return DensityOperator._trusted(m @ m.conj().T, sub)
+    t = np.transpose(psi.reshape(lay.dims), kept + rest)
+    m = t.reshape(math.prod(t.shape[: len(kept)]), -1)
+    return m @ m.conj().T
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
@@ -401,10 +407,16 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     dim = _check_integer("dimension", dim)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitaries(dim, rng, 1)[0]
+
+
+def _haar_unitaries(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar unitaries from one draw and one stacked QR: those of ``count``
+    successive :func:`haar_random_unitary` calls, each drawing real then imaginary parts."""
+    z = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
 def complete_isometry(columns: np.ndarray) -> np.ndarray:

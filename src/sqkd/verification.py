@@ -25,6 +25,7 @@ from .attacks import (
     RestrictedAttack,
     _check_d_e,
     _round_marginal,
+    _round_state,
     alice_states,
     build_rewind,
     derive_reduced_attack,
@@ -273,12 +274,11 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     h = _entropy_bits(lam)
     s_reflect, s_resend, s_aux = map(float, h[:6].reshape(3, 2).sum(axis=1) - h[6:9])
 
-    pinched_x = measure_register(_round_marginal(reduced, REFLECT, {"A1", "A2"}), "A1", "X")
+    pinched_x = measure_register(_round_state(reduced, REFLECT, ("A1", "A2")), "A1", "X")
     s_x_given_a2 = conditional_entropy(pinched_x, {"A1"}, {"A2"})
 
     # H(A1^Z|B^Z) = sum_b P(b) h(P(A1=1|b)), P(A1, B) off the resend (A1, B) marginal
-    resend_a1_b = _round_marginal(reduced, MEASURE_RESEND, {"A1", "B"})
-    p_a1_b = np.real(np.diagonal(resend_a1_b.matrix)).reshape(2, 2)
+    p_a1_b = np.real(np.diagonal(_round_marginal(reduced, MEASURE_RESEND, ("A1", "B")))).reshape(2, 2)
     p_b = p_a1_b.sum(axis=0)
     h_key_given_b = float(sum(p_b[b] * binary_entropy(p_a1_b[1, b] / p_b[b]) for b in (0, 1) if p_b[b] > 0))
 

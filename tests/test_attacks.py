@@ -12,6 +12,7 @@ from sqkd.attacks import (
     NoiseStats,
     ReducedAttack,
     RestrictedAttack,
+    _disc_sample,
     alice_states,
     bob_operation,
     build_rewind,
@@ -105,6 +106,43 @@ def test_symmetric_attack_expansion():
         amp = math.sqrt(0.95)
         assert attack.q0 == amp and attack.q1 == amp
         assert attack.eta1 == -np.conj(attack.eta0)
+
+
+@pytest.mark.parametrize("d_e", [2, 3, 4, 8])
+def test_symmetric_reverse_unitary_is_the_controlled_rotation_bitwise(d_e):
+    # U = C (R (x) I), built block by block, equals the product built by kron and matmul
+    for seed in range(20):
+        for q in (0.0, 0.02, 0.05, 0.1, 0.5):
+            attack = random_symmetric_attack(q, np.random.default_rng(seed), d_e)
+            rng = np.random.default_rng(seed)
+            _disc_sample(rng)  # eta comes first
+            controlled = np.zeros((2 * d_e, 2 * d_e), dtype=complex)
+            controlled[:d_e, :d_e] = haar_random_unitary(d_e, rng)
+            controlled[d_e:, d_e:] = haar_random_unitary(d_e, rng)
+            half_theta = math.asin(math.sqrt(q))
+            cos, sin = math.cos(half_theta), math.sin(half_theta)
+            rotation = np.array([[cos, -sin], [sin, cos]], dtype=complex)
+            assert np.array_equal(attack.u, controlled @ np.kron(rotation, np.eye(d_e, dtype=complex)))
+
+
+def test_attacks_hold_their_layouts():
+    # a layout is built once per attack and shared by every state simulated on it
+    rng = np.random.default_rng(41)
+    restricted = random_restricted_attack(3, rng)
+    for attack in (random_collective_attack(3, rng), restricted):
+        states = [simulate_sqkd(attack, a, op) for op in (MEASURE_RESEND, REFLECT) for a in alice_states()]
+        assert all(rho.layout is states[0].layout for rho in states)
+        entangled = [simulate_entangled_sqkd(attack, op) for op in (MEASURE_RESEND, REFLECT)]
+        assert entangled[0].layout is entangled[1].layout
+    reduced = derive_reduced_attack(restricted)
+    rounds = [simulate_reduced(reduced, op) for op in (MEASURE_RESEND, REFLECT)]
+    assert rounds[0].layout is rounds[1].layout
+    assert rounds[0].layout.factors == (("A1", 2), ("A2", 2), ("B", 2), ("E", 3))
+    key_states = reduced_round_states(reduced)
+    assert all(rho.layout is key_states[0].layout for rho in key_states)
+    assert key_states[0].layout.factors == (("A1", 2), ("E", 3))
+    assert reduced_round_states(reduced)[0].layout is key_states[0].layout
+    assert not any(rho.matrix.flags.writeable for rho in key_states)
 
 
 def test_reduced_attack_validation():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sqkd
-from sqkd.cli import main
+from sqkd.cli import build_parser, main
 from sqkd.keyrate import DEPOLARIZING, EQUAL, key_rate, noise_threshold
 from sqkd.verification import CHECK_NAMES
 
@@ -238,6 +238,25 @@ def console_script_target(name):
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as handle:
         return tomllib.load(handle)["project"]["scripts"][name]
+
+
+def test_repeated_calls_in_one_process_give_the_same_output(capsys):
+    # main builds its parser once per process: a usage error or --help before
+    # a command must leave nothing behind that changes a later call
+    calls = [
+        ("rate", "--qx-model", "equal"),
+        ("--help",),
+        ("rate", "--q", "0.03", "--qx-model", "equal"),
+        ("verify", "--trials", "1", "--seed", "3"),
+        ("threshold", "--qx-model", "equal"),
+    ]
+    first = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert [code for code, _ in first] == [2, 0, 0, 0, 0]
+    assert all(out for _, out in first[1:])
+    for index in (2, 3):
+        assert run_cli(capsys, *calls[index])[:2] == first[index]
+    # the public builder still makes a new parser on every call
+    assert build_parser() is not build_parser()
 
 
 def test_module_entry_point(tmp_path):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kron_reference import permute_factors
+from kron_reference import embed_by_kron, permute_factors
 from sqkd.tolerances import DEFAULT as TOL
 from sqkd.linalg import (
     VALID_LABELS,
     DensityOperator,
     _apply_local,
+    _haar_unitaries,
     _pure_marginal,
     SubsystemLayout,
     basis_state,
@@ -89,6 +90,33 @@ def test_density_operator_rejects_bad_matrices():
         DensityOperator(qubit_rho(PLUS), layout(("T", 2), ("B", 2)))  # dim mismatch
     with pytest.raises(ValueError):
         DensityOperator.from_state(np.array([1.0, 1.0]), lay)  # unnormalized
+
+
+NON_FINITE = {"nan-off-diagonal": (0, 1, math.nan), "nan-on-diagonal": (1, 1, math.nan), "inf": (0, 0, math.inf)}
+
+
+@pytest.mark.parametrize(("i", "j", "value"), list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_non_finite_entries_fail_validation(i, j, value):
+    # each gate is written so that a NaN fails it; an inf makes one
+    lay = layout(("T", 2))
+    m = qubit_rho(PLUS)
+    m[i, j] = value
+    with pytest.raises(ValueError):
+        DensityOperator(m, lay)
+    psi = PLUS.copy()
+    psi[j] = value
+    with pytest.raises(ValueError):
+        DensityOperator.from_state(psi, lay)
+
+
+def test_from_state_gates_the_squared_norm_at_the_trace_bound():
+    # |norm^2 - 1| <= trace_one: 1 + 4e-11 passes, and 1 + 7.5e-11, whose
+    # projector's trace is 1 + 1.5e-10, is rejected as a vector, not as a trace
+    lay = layout(("T", 2))
+    DensityOperator.from_state(PLUS * (1.0 + 4e-11), lay)
+    for excess in (7.5e-11, 1.5e-10):
+        with pytest.raises(ValueError, match="state vector norm"):
+            DensityOperator.from_state(PLUS * (1.0 + excess), lay)
 
 
 def accepted(m, lay):
@@ -198,6 +226,13 @@ def test_apply_local_matches_embedded_operator():
         full = embed_operator(op, lay, labels)
         v = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
         assert np.max(np.abs(_apply_local(op, v, lay, labels) - full @ v)) < 1e-12
+
+
+def test_embed_operator_matches_kron_construction_bitwise():
+    rng = np.random.default_rng(23)
+    for lay, labels in local_cases():
+        op = random_matrix(rng, math.prod(lay.dim_of(lab) for lab in labels))
+        assert np.array_equal(embed_operator(op, lay, labels), embed_by_kron(op, lay, labels))
 
 
 def test_partial_trace_bell_halves():
@@ -327,10 +362,10 @@ def test_pure_marginal_matches_partial_trace(seed):
     for lay, keep in ((random_lay, random_keep), (key_lay, {"E", "A1"})):
         psi = random_unit_vector(rng, lay.dim)
         reference = partial_trace(DensityOperator.from_state(psi, lay), keep)
+        # a matrix on the kept factors in layout order, whatever the order of keep
         marginal = _pure_marginal(psi, lay, keep)
-        assert marginal.layout == reference.layout
-        assert np.max(np.abs(marginal.matrix - reference.matrix)) <= EXACT
-        assert not marginal.matrix.flags.writeable
+        assert marginal.shape == reference.matrix.shape
+        assert np.max(np.abs(marginal - reference.matrix)) <= EXACT
     with pytest.raises(ValueError):
         _pure_marginal(psi, key_lay, {"E", "X"})
 
@@ -505,6 +540,24 @@ def test_haar_random_unitary_properties():
     assert np.array_equal(same_a, same_b)
     with pytest.raises(ValueError):
         haar_random_unitary(0, rng)
+
+
+def haar_by_one_qr(dim, rng):
+    # one Gaussian matrix, real then imaginary part, and one QR with its R diagonal's phases divided out
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def test_stacked_haar_draws_match_sequential_draws_bitwise():
+    for dim in range(2, 17):
+        for seed in range(3):
+            sequential, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            stacked = _haar_unitaries(dim, np.random.default_rng(seed), 2)
+            for u in stacked:
+                assert np.array_equal(u, haar_random_unitary(dim, sequential))
+                assert np.array_equal(u, haar_by_one_qr(dim, reference))
 
 
 def test_haar_random_unitary_entry_statistics():
