@@ -419,6 +419,11 @@ def _haar_unitaries(dim: int, rng: np.random.Generator, count: int) -> np.ndarra
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
+def _isometry_residual(m: np.ndarray) -> float:
+    """max |M^dagger M - I| over entries: 0 for an isometry, NaN if ``m`` holds a NaN."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+
+
 def complete_isometry(columns: np.ndarray) -> np.ndarray:
     """Complete orthonormal columns to a full unitary.
 
@@ -433,8 +438,7 @@ def complete_isometry(columns: np.ndarray) -> np.ndarray:
     n, k = cols.shape
     if k > n:
         raise ValueError(f"cannot complete {k} columns in dimension {n}")
-    gram = cols.conj().T @ cols
-    if not np.max(np.abs(gram - np.eye(k))) <= TOL.orthonormal:
+    if not _isometry_residual(cols) <= TOL.orthonormal:
         raise ValueError("input columns are not orthonormal within tolerance")
     # the first k columns of Q span the inputs; the rest span their complement
     out, _ = np.linalg.qr(np.hstack([cols, np.eye(n, dtype=complex)]))

@@ -1,8 +1,9 @@
 """Named numerical tolerances.
 
-This record holds the tolerances of state and attack validation and the
-gates of the verification suites, each named and documented here. A few
-fixed constants live next to the code they guard instead: the 1e-12
+This record holds the nine tolerances of state and attack validation and the
+gates of the verification suites, each named and documented here: ``isometry``
+bounds every V*V = I and the parameter constraint, ``trace_one`` every trace and
+norm^2. A few fixed constants live next to the code they guard instead: the 1e-12
 roundoff slack of range checks (``linalg._check_range`` and the |eta| <= 1
 check of ``attacks.RestrictedAttack``), the 1e-12 floors below which
 ``derive_restricted_from_collective``, ``build_rewind`` and
@@ -25,13 +26,10 @@ class Tolerances:
 
     hermitian: float = 1e-10        # entrywise Hermiticity of density operators
     hermitian_input: float = 1e-8   # gate for eigensolver / trace-norm inputs
-    trace_one: float = 1e-10        # |tr(rho) - 1|
+    trace_one: float = 1e-10        # |tr(rho) - 1|, and |norm^2 - 1| of state vectors
     psd: float = 1e-10              # eigenvalues of rho must be >= -psd
-    unitary: float = 1e-10          # max |U*U - I| for unitaries
-    isometry: float = 1e-10         # max |V*V - I| for isometry columns
+    isometry: float = 1e-10         # max |V*V - I| of isometries and unitaries, and the parameter constraint
     orthonormal: float = 1e-8       # input gate for completing isometries
-    norm: float = 1e-10             # state-vector normalization
-    constraint: float = 1e-10       # restricted-attack parameter constraint
     eta_degenerate: float = 1e-8    # |eta| >= 1 - eta_degenerate is degenerate
     equivalence: float = 1e-9       # trace-distance residual between protocols
     decomposition: float = 1e-10    # resend = (reflect + aux)/2 residual

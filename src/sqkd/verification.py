@@ -50,6 +50,7 @@ from .keyrate import (
 from .linalg import (
     _check_integer,
     _entropy_bits,
+    _isometry_residual,
     binary_entropy,
     conditional_entropy,
     measure_register,
@@ -396,15 +397,12 @@ def check_isometries(
     d_e_list = _check_d_e_list(d_e_list)
     trials = _check_trials(trials)
 
-    def gram_residual(m: np.ndarray) -> float:
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
-
     def residual(attack: RestrictedAttack) -> float:
         return max(
-            gram_residual(forward_isometry(attack)),
-            gram_residual(build_rewind(attack)),
-            gram_residual(attack.u),
-            gram_residual(derive_reduced_attack(attack).v),
+            _isometry_residual(forward_isometry(attack)),
+            _isometry_residual(build_rewind(attack)),
+            _isometry_residual(attack.u),
+            _isometry_residual(derive_reduced_attack(attack).v),
         )
 
     attacks = itertools.chain(

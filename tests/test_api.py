@@ -1,8 +1,10 @@
-"""The package's public surface: every exported name resolves, sizes are integers, and every
-tolerance has a reader."""
+"""The package's public surface: every exported name resolves, sizes are integers, every
+tolerance has a reader, and README's API session runs as printed."""
 import ast
+import contextlib
 import dataclasses
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -67,3 +69,15 @@ def test_every_tolerance_is_read():
     read = set(re.findall(r"\bTOL\.(\w+)", source))
     unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read]
     assert not unread, f"tolerances no module reads as TOL.<field>: {unread}"
+
+
+def test_readme_session_prints_what_it_promises():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    stats, rate, threshold = out.getvalue().splitlines()
+    assert len(stats.split()) == 3
+    assert rate.startswith("0.2837") and threshold.startswith("0.06149")

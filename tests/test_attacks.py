@@ -125,8 +125,16 @@ def test_symmetric_reverse_unitary_is_the_controlled_rotation_bitwise(d_e):
             assert np.array_equal(attack.u, controlled @ np.kron(rotation, np.eye(d_e, dtype=complex)))
 
 
+def _simulated_layouts(attack, reduced) -> list[SubsystemLayout]:
+    # the layout of every state simulated from a two-way attack and its reduced form
+    states = [simulate_sqkd(attack, a, op) for op in (MEASURE_RESEND, REFLECT) for a in alice_states()]
+    states += [simulate_entangled_sqkd(attack, op) for op in (MEASURE_RESEND, REFLECT)]
+    states += [simulate_reduced(reduced, op) for op in (MEASURE_RESEND, REFLECT)]
+    return [rho.layout for rho in states + list(reduced_round_states(reduced))]
+
+
 def test_attacks_hold_their_layouts():
-    # a layout is built once per attack and shared by every state simulated on it
+    # a layout is built once per (labels, d_E) and shared by every state simulated on it
     rng = np.random.default_rng(41)
     restricted = random_restricted_attack(3, rng)
     for attack in (random_collective_attack(3, rng), restricted):
@@ -143,6 +151,14 @@ def test_attacks_hold_their_layouts():
     assert key_states[0].layout.factors == (("A1", 2), ("E", 3))
     assert reduced_round_states(reduced)[0].layout is key_states[0].layout
     assert not any(rho.matrix.flags.writeable for rho in key_states)
+    # two attacks with one d_E share every layout; an attack with another d_E shares none
+    first = _simulated_layouts(restricted, reduced)
+    other = random_restricted_attack(3, rng)
+    second = _simulated_layouts(other, derive_reduced_attack(other))
+    assert all(a is b for a, b in zip(first, second))
+    wider = random_restricted_attack(4, rng)
+    third = _simulated_layouts(wider, derive_reduced_attack(wider))
+    assert not any(a is b or a == b for a, b in zip(first, third))
 
 
 def test_reduced_attack_validation():
@@ -343,6 +359,48 @@ def test_simulate_sqkd_validation():
         simulate_sqkd(attack, basis_state(2, 0), "teleport")
     with pytest.raises(TypeError):
         simulate_sqkd(ReducedAttack(0.5, IDENTITY_REDUCED), basis_state(2, 0), REFLECT)
+
+
+def test_alice_state_gate_names_the_alice_state():
+    # A's state takes from_state's |norm^2 - 1| <= 1e-10 gate, so a state just off it is
+    # rejected as A's state, never as the round's output vector
+    attack = identity_symmetric()
+    for op in (MEASURE_RESEND, REFLECT):
+        assert simulate_sqkd(attack, (1.0 + 4e-11) * basis_state(2, 0), op).layout.labels == ("T", "B", "E")
+        for norm in (1.0 + 7.5e-11, 1.0 - 7.5e-11, 1.0 + 1.5e-10):
+            with pytest.raises(ValueError, match="alice state is not normalized"):
+                simulate_sqkd(attack, norm * basis_state(2, 0), op)
+
+
+def _scaled(m, two_eps):
+    # (1 + eps) m, whose Gram matrix is off the identity by 2 eps + eps^2 on its diagonal
+    return (1.0 + two_eps / 2.0) * np.asarray(m, dtype=complex)
+
+
+def test_isometry_bound_is_one_bound():
+    # every V*V = I gate and the parameter constraint share the 1e-10 isometry bound
+    for two_eps, accepted in ((0.9e-10, True), (1.1e-10, False)):
+        builds = [
+            lambda: CollectiveAttack(_scaled(np.eye(4), two_eps), np.eye(4), 2),
+            lambda: CollectiveAttack(np.eye(4), _scaled(np.eye(4), two_eps), 2),
+            lambda: RestrictedAttack(1.0, 1.0, 0.0, 0.0, _scaled(np.eye(4), two_eps), 2),
+            lambda: ReducedAttack(0.5, _scaled(IDENTITY_REDUCED, two_eps)),
+            # q0 = 1, q1 = 0: the constraint's left side, F*F's off-diagonal entry, is eta1
+            lambda: RestrictedAttack(1.0, 0.0, 0.0, two_eps, np.eye(4), 2),
+        ]
+        for build in builds:
+            if accepted:
+                build()
+            else:
+                with pytest.raises(ValueError):
+                    build()
+
+
+def test_derive_restricted_clamps_flip_amplitudes():
+    # a forward unitary 4.9e-11 over unit norm passes the gate; its amplitudes clamp to 1
+    attack = CollectiveAttack(_scaled(np.eye(4), 9.8e-11), np.eye(4), 2)
+    derived = derive_restricted_from_collective(attack)
+    assert derived.q0 == 1.0 and derived.q1 == 1.0
 
 
 def test_simulate_entangled_layout():

@@ -590,4 +590,8 @@ def test_complete_isometry_vector_promotion_and_errors():
         complete_isometry(np.ones((2, 2)))  # not orthonormal
     with pytest.raises(ValueError):
         complete_isometry(np.eye(2, 3))  # 3 columns in dimension 2
+    # the input gate is max |C*C - I| <= 1e-8; (1 + eps) C is off by 2 eps + eps^2
+    complete_isometry((1.0 + 0.45e-8) * np.eye(4)[:, :2])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        complete_isometry((1.0 + 0.55e-8) * np.eye(4)[:, :2])
 

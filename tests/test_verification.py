@@ -244,22 +244,27 @@ def test_e_side_rotation_leaves_every_observable_unchanged(seed, q, d_e):
 # named d_E = 2 attacks: (forward, reverse) unitaries on (T, E), T the leading factor
 CNOT_T_TO_E = np.eye(4)[:, [0, 1, 3, 2]]
 Z_ON_T = np.diag([1.0, 1.0, -1.0, -1.0])
+SWAP_T_E = np.eye(4)[:, [0, 2, 1, 3]]
 NAMED_ATTACKS = {
     "no-attack": (np.eye(4), np.eye(4)),
     "z-copy-intercept": (CNOT_T_TO_E, np.eye(4)),
     "reverse-phase-flip": (np.eye(4), Z_ON_T),
+    "swap-forward": (SWAP_T_E, np.eye(4)),
 }
 # fields in order: q, d_e, q_x, s_reflect, s_resend, s_aux, s_x_given_a2, td_reflect_aux, h_key_given_b
 CLOSED_FORMS = {
     "no-attack": SymmetricAttackDiagnostics(0.0, 2, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
     "z-copy-intercept": SymmetricAttackDiagnostics(0.0, 2, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
     "reverse-phase-flip": SymmetricAttackDiagnostics(0.0, 2, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+    "swap-forward": SymmetricAttackDiagnostics(0.5, 2, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0),
 }
+# the true key rate S(A1^Z|E) - H(A1^Z|B^Z) on resend rounds
+TRUE_RATES = {"no-attack": 1.0, "z-copy-intercept": 0.0, "reverse-phase-flip": 1.0, "swap-forward": -1.0}
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_ATTACKS))
 def test_named_attacks_match_closed_forms(name):
-    """Diagnostics of three named attacks, derived by hand.
+    """Diagnostics of four named attacks, derived by hand.
 
     In the entangled picture A1 keeps half of (|00> + |11>)/sqrt(2), A2 is
     the returning transit qubit, B's resend copies its Z value onto B, and
@@ -284,9 +289,20 @@ def test_named_attacks_match_closed_forms(name):
       q = q_rev = 0 and H(A1^Z|B^Z) = 0. (|00> - |11>)/sqrt(2) is
       (|+-> + |-+>)/sqrt(2): X values always differ, Q_X = 1, and the A1 X
       pinch (|+-><+-| + |-+><-+|)/2 gives S(A1^X|A2) = 1 - 1 = 0.
+    - SWAP forward (forward SWAP on (T, E), reverse identity): A's qubit
+      moves into E and T leaves in E's |0>, so B always reads 0 and A2
+      returns |0>. Every round leaves (|00> + |11>)/sqrt(2) on (A1, E)
+      beside |0> on A2 (and on B): the key states are
+      (|00><00| + |11><11|)/2, the aux sign included, so S(A1^Z|E) =
+      1 - 1 = 0 and td = 0. B's bit is 0 against A's uniform one, q = 1/2,
+      and the returning Z value is B's, q_rev = 0; B tells nothing about
+      A1, H(A1^Z|B^Z) = 1. The (A1, A2) marginal I/2 (x) |0><0| has
+      <X (x) X> = 0, so Q_X = 1/2, and its A1 X pinch is itself:
+      S(A1^X|A2) = 1 - 0 = 1.
 
-    In all three S(A1^Z|E) + S(A1^X|A2) = 1: the uncertainty relation is
-    tight, an edge that Haar-sampled attacks never reach.
+    In all four S(A1^Z|E) + S(A1^X|A2) = 1: the uncertainty relation is
+    tight, an edge that Haar-sampled attacks never reach. The true rate
+    S(A1^Z|E) - H(A1^Z|B^Z) on resend rounds is 1, 0, 1 and -1 in turn.
     """
     collective = CollectiveAttack(*NAMED_ATTACKS[name], 2)
     restricted = derive_restricted_from_collective(collective)
@@ -301,6 +317,7 @@ def test_named_attacks_match_closed_forms(name):
         assert abs(getattr(diag, field) - getattr(expected, field)) <= EXACT, field
     assert abs(diag.s_reflect + diag.s_x_given_a2 - 1.0) <= EXACT
     assert uncertainty_residual(diag) <= EXACT
+    assert abs(diag.s_resend - diag.h_key_given_b - TRUE_RATES[name]) <= EXACT
 
 
 def test_run_all_checks_order_and_passes():
