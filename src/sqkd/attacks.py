@@ -42,7 +42,6 @@ from .linalg import (
     _apply_local,
     _check_integer,
     _check_range,
-    _contract,
     _haar_unitaries,
     _isometry_residual,
     _pure_marginal,
@@ -86,11 +85,6 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-
-_P0 = np.outer(KET0, KET0.conj())
-_P1 = np.outer(KET1, KET1.conj())
-_P_PLUS = np.outer(PLUS, PLUS.conj())
-_P_MINUS = np.outer(MINUS, MINUS.conj())
 
 _MAX_D_E = 8  # keeps every full system at dimension <= 64
 
@@ -473,23 +467,14 @@ def reduced_round_states(
     return reflect, resend, aux
 
 
-def _probability(rho: DensityOperator, projectors: dict[str, np.ndarray]) -> float:
-    # tr(P rho) with P the product of projectors on distinct factors: each
-    # is contracted into the row axes only
-    t = rho.matrix.reshape(rho.layout.dims * 2)
-    for label, proj in projectors.items():
-        t = _contract(proj, t, [rho.layout.position(label)])
-    return float(np.real(np.trace(t.reshape(rho.dim, rho.dim))))
-
-
 def estimate_noise_stats(attack) -> NoiseStats:
     """Exact channel error rates induced by an attack.
 
     q_fwd is the probability that B's measured bit differs from A's key
     bit, q_rev the joint probability that the returning qubit's Z value
     differs from B's bit, and q_x the probability that the two X measurements on
-    reflect rounds disagree. All three are computed from exact density
-    operators, averaging uniformly over A's preparations where relevant.
+    reflect rounds disagree. All three are Gram marginals of the attack's exact
+    pure round states, averaging uniformly over A's preparations where relevant.
     """
     if isinstance(attack, ReducedAttack):
         # P(A1, A2, B) on resend rounds; q_x = (1 - Re<X (x) X>) / 2 on reflect rounds
@@ -501,24 +486,16 @@ def estimate_noise_stats(attack) -> NoiseStats:
         q_x = 0.5 * (1.0 - np.real(np.trace(np.fliplr(a1a2))))
         return NoiseStats(q_fwd, q_rev, q_x)
 
-    z_projs = (_P0, _P1)
-    runs = [simulate_sqkd(attack, state, MEASURE_RESEND) for state in (KET0, KET1)]
-    q_fwd = 0.5 * sum(
-        _probability(rho, {"B": z_projs[1 - sent]}) for sent, rho in enumerate(runs)
-    )
-    # Reverse error: the joint probability that the returning Z value differs
-    # from B's bit, with A's preparation uniform.
-    q_rev = 0.5 * sum(
-        _probability(rho, {"B": z_projs[bit], "T": z_projs[1 - bit]})
-        for rho in runs
-        for bit in range(2)
-    )
-    x_projs = {0: _P_PLUS, 1: _P_MINUS}
-    q_x = 0.0
-    for sign, state in enumerate((PLUS, MINUS)):
-        rho = simulate_sqkd(attack, state, REFLECT)
-        q_x += 0.5 * _probability(rho, {"T": x_projs[1 - sign]})
-    return NoiseStats(q_fwd, q_rev, q_x)
+    # A's four preparations through the held round maps, read as marginals on (T, B, E)
+    resend, reflect = _round_map(attack, MEASURE_RESEND), _round_map(attack, REFLECT)
+    lay = _layout(("T", "B", "E"), attack.d_e)
+    runs = [_pure_marginal(resend @ a, lay, ("T", "B")) for a in (KET0, KET1)]
+    p0, p1 = (np.real(np.diagonal(run)).reshape(2, 2) for run in runs)  # P(T, B)
+    q_fwd = 0.5 * (p0[:, 1].sum() + p1[:, 0].sum())
+    q_rev = 0.5 * (p0[0, 1] + p0[1, 0] + p1[0, 1] + p1[1, 0])
+    # A's X outcome on the reflect run of |+> (|->) is the other sign with probability 1/2 -+ Re rho_T[0, 1]
+    plus, minus = (_pure_marginal(reflect @ a, lay, ("T",)) for a in (PLUS, MINUS))
+    return NoiseStats(q_fwd, q_rev, 0.5 - 0.5 * np.real(plus[0, 1] - minus[0, 1]))
 
 
 def random_collective_attack(d_e: int, rng: np.random.Generator) -> CollectiveAttack:

@@ -207,13 +207,6 @@ def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...]
     return full.transpose(axes).reshape(lay.dim, lay.dim)
 
 
-def _contract(op_tensor: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
-    # op_tensor has its output axes first, then its input axes
-    k = len(axes)
-    out = np.tensordot(op_tensor, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
-
-
 def _apply_local(
     op: np.ndarray, psi: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...] | list[str]
 ) -> np.ndarray:
@@ -225,8 +218,11 @@ def _apply_local(
     """
     positions = [lay.position(lab) for lab in labels]
     dims = lay.dims
+    k = len(positions)
+    # op's output axes come first, then its input axes, which take psi's named axes
     op_tensor = np.asarray(op, dtype=complex).reshape(tuple(dims[p] for p in positions) * 2)
-    return _contract(op_tensor, psi.reshape(dims), positions).reshape(psi.shape)
+    out = np.tensordot(op_tensor, psi.reshape(dims), axes=(list(range(k, 2 * k)), positions))
+    return np.moveaxis(out, list(range(k)), positions).reshape(psi.shape)
 
 
 def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[str]) -> DensityOperator:

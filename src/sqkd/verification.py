@@ -11,7 +11,6 @@ isolation and concurrency or trial order can never change results.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -106,13 +105,14 @@ DEFAULT_D_E = (2, 3, 4)
 def trial_rng(seed: int, suite: int, trial: int) -> np.random.Generator:
     """Independent generator for one verification trial.
 
-    Philox (counter-based, 64-bit) keyed by the triple (seed, suite,
-    trial), so streams never overlap across suites or trials and a single
-    trial can be replayed without running the others.
+    Philox (counter-based, 64-bit) keyed by (seed, suite, trial), each a nonnegative
+    integer (3.0 is 3; a fraction, NaN or inf raises ValueError), so streams never overlap
+    across suites or trials and a single trial can be replayed without running the others.
     """
-    if seed < 0 or suite < 0 or trial < 0:
-        raise ValueError(f"seed components must be nonnegative, got {(seed, suite, trial)}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, suite, trial])))
+    key = [v if type(v) is int else _check_integer("seed component", v) for v in (seed, suite, trial)]
+    if min(key) < 0:
+        raise ValueError(f"seed components must be nonnegative, got {tuple(key)}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=key)))
 
 
 @dataclass(frozen=True)
@@ -148,30 +148,28 @@ def _check_d_e_list(d_e_list: Sequence[int]) -> tuple[int, ...]:
     return tuple(_check_d_e(d, minimum=2) for d in d_e_list)
 
 
-# One seeded attack stream per suite, in trial order. Every check that reads
-# a suite's attacks draws them from here, so they all see the same attacks.
+def _attacks(suite: int, trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator:
+    """The seeded attack stream of ``suite`` in trial order, the one every check of it reads.
+
+    Trial t draws from trial_rng(seed, suite, t) at d_E = d_e_list[t % trials % len(d_e_list)];
+    the symmetric suite runs ``trials`` attacks at each rate of Q_GRID, Q = Q_GRID[t // trials].
+    """
+    for t in range(trials * len(Q_GRID) if suite == SUITE_SYMMETRIC else trials):
+        rng = trial_rng(seed, suite, t)
+        d_e = d_e_list[t % trials % len(d_e_list)]
+        if suite == SUITE_COLLECTIVE:
+            yield random_collective_attack(d_e, rng)
+        elif suite == SUITE_RESTRICTED:
+            yield random_restricted_attack(d_e, rng)
+        else:
+            yield random_symmetric_attack(Q_GRID[t // trials], rng, d_e)
 
 
-def _d_e(d_e_list: Sequence[int], t: int) -> int:
-    return d_e_list[t % len(d_e_list)]
-
-
-def _collective_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator[CollectiveAttack]:
-    for t in range(trials):
-        yield random_collective_attack(_d_e(d_e_list, t), trial_rng(seed, SUITE_COLLECTIVE, t))
-
-
-def _restricted_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator[RestrictedAttack]:
-    for t in range(trials):
-        yield random_restricted_attack(_d_e(d_e_list, t), trial_rng(seed, SUITE_RESTRICTED, t))
-
-
-def _symmetric_attacks(trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator[RestrictedAttack]:
-    # trials attacks at each rate of Q_GRID
-    for q_index, q in enumerate(Q_GRID):
-        for t in range(trials):
-            rng = trial_rng(seed, SUITE_SYMMETRIC, q_index * trials + t)
-            yield random_symmetric_attack(q, rng, _d_e(d_e_list, t))
+def _per_trial(suite: int, trial_fn, trials: int, seed: int, d_e_list: Sequence[int]) -> list:
+    """``trial_fn`` of every attack of ``suite``'s stream, after validating the arguments."""
+    d_e_list = _check_d_e_list(d_e_list)
+    trials = _check_trials(trials)
+    return [trial_fn(a) for a in _attacks(suite, trials, seed, d_e_list)]
 
 
 def collective_reduction_residual(attack: CollectiveAttack) -> float:
@@ -300,9 +298,7 @@ def symmetric_diagnostics_sample(
     trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
 ) -> list[SymmetricAttackDiagnostics]:
     """Diagnostics for ``trials`` seeded attacks at every rate in Q_GRID."""
-    d_e_list = _check_d_e_list(d_e_list)
-    trials = _check_trials(trials)
-    return [symmetric_attack_diagnostics(a) for a in _symmetric_attacks(trials, seed, d_e_list)]
+    return _per_trial(SUITE_SYMMETRIC, symmetric_attack_diagnostics, trials, seed, d_e_list)
 
 
 def _folded(q_x: float) -> float:
@@ -351,20 +347,16 @@ def check_thm1_equivalence(
     trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
 ) -> VerifyReport:
     """Collective-to-restricted reduction over seeded Haar-random attacks."""
-    d_e_list = _check_d_e_list(d_e_list)
-    trials = _check_trials(trials)
-    residuals = [collective_reduction_residual(a) for a in _collective_attacks(trials, seed, d_e_list)]
-    return _report("thm1-equivalence", trials, residuals, TOL.equivalence)
+    residuals = _per_trial(SUITE_COLLECTIVE, collective_reduction_residual, trials, seed, d_e_list)
+    return _report("thm1-equivalence", len(residuals), residuals, TOL.equivalence)
 
 
 def check_thm2_equivalence(
     trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
 ) -> VerifyReport:
     """Restricted-to-reduced protocol equivalence over seeded random attacks."""
-    d_e_list = _check_d_e_list(d_e_list)
-    trials = _check_trials(trials)
-    residuals = [restricted_reduction_residual(a) for a in _restricted_attacks(trials, seed, d_e_list)]
-    return _report("thm2-equivalence", trials, residuals, TOL.equivalence)
+    residuals = _per_trial(SUITE_RESTRICTED, restricted_reduction_residual, trials, seed, d_e_list)
+    return _report("thm2-equivalence", len(residuals), residuals, TOL.equivalence)
 
 
 def check_lemma_trd(trials: int, seed: int) -> VerifyReport:
@@ -405,12 +397,11 @@ def check_isometries(
             _isometry_residual(derive_reduced_attack(attack).v),
         )
 
-    attacks = itertools.chain(
-        map(derive_restricted_from_collective, _collective_attacks(trials, seed, d_e_list)),
-        _restricted_attacks(trials, seed, d_e_list),
-        _symmetric_attacks(trials, seed, d_e_list),
-    )
-    residuals = [residual(a) for a in attacks]
+    residuals = [
+        residual(derive_restricted_from_collective(a) if suite == SUITE_COLLECTIVE else a)
+        for suite in (SUITE_COLLECTIVE, SUITE_RESTRICTED, SUITE_SYMMETRIC)
+        for a in _attacks(suite, trials, seed, d_e_list)
+    ]
     return _report("isometries", len(residuals), residuals, TOL.isometry)
 
 

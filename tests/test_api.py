@@ -1,5 +1,5 @@
 """The package's public surface: every exported name resolves, sizes are integers, every
-tolerance has a reader, and README's API session runs as printed."""
+tolerance and private helper has a reader, and README's API session runs as printed."""
 import ast
 import contextlib
 import dataclasses
@@ -69,6 +69,34 @@ def test_every_tolerance_is_read():
     read = set(re.findall(r"\bTOL\.(\w+)", source))
     unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read]
     assert not unread, f"tolerances no module reads as TOL.<field>: {unread}"
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level _name that nothing reads is dead code, such as a constant left behind
+    # when its last reader was deleted; reads inside its own definition do not count
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(sqkd.__file__).parent.glob("*.py")]
+    reads = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    ]
+    unread = []
+    for tree in trees:
+        for definition in tree.body:
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                names = [definition.name]
+            elif isinstance(definition, (ast.Assign, ast.AnnAssign)):
+                targets = definition.targets if isinstance(definition, ast.Assign) else [definition.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = {id(node) for node in ast.walk(definition)}
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    if not any(read == name and id(node) not in own for node, read in reads):
+                        unread.append(name)
+    assert not unread, f"module-level private names nothing in the package reads: {unread}"
 
 
 def test_readme_session_prints_what_it_promises():

@@ -693,7 +693,7 @@ def test_reduced_stats_match_direct_protocol():
         assert abs(direct.q_x - reduced.q_x) < EXACT
 
 
-@pytest.mark.parametrize("d_e", [2, 3, 4])
+@pytest.mark.parametrize("d_e", [2, 3, 4, 8])
 def test_noise_stats_agree_across_attack_forms(d_e):
     # asymmetric attacks: B's two resend bits occur with unequal weight, so
     # q_rev must be the joint P(T != B) on every form, not an average of

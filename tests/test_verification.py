@@ -6,14 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqkd import verification
 from sqkd.attacks import (
     MEASURE_RESEND,
     REFLECT,
     CollectiveAttack,
     RestrictedAttack,
+    build_rewind,
     derive_reduced_attack,
     derive_restricted_from_collective,
     estimate_noise_stats,
+    forward_isometry,
+    random_collective_attack,
+    random_restricted_attack,
     random_symmetric_attack,
     simulate_reduced,
 )
@@ -59,6 +64,70 @@ def test_trial_rng_streams():
     assert not np.array_equal(a, d)
     with pytest.raises(ValueError):
         trial_rng(-1, 1, 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+def test_non_integral_seeds_raise_value_error(bad):
+    for key in ((bad, 1, 0), (3, bad, 0), (3, 1, bad)):
+        with pytest.raises(ValueError, match="not an integer"):
+            trial_rng(*key)
+    with pytest.raises(ValueError, match="not an integer"):
+        run_all_checks(1, bad)
+
+
+def test_integral_float_seed_is_its_integer():
+    assert np.array_equal(trial_rng(3.0, 1.0, 0.0).random(4), trial_rng(3, 1, 0).random(4))
+    assert np.array_equal(trial_rng(np.int64(3), 1, 0).random(4), trial_rng(3, 1, 0).random(4))
+    assert run_all_checks(1, 3.0, (2,)) == run_all_checks(1, 3, (2,))
+
+
+def test_suite_streams_follow_trial_rng(monkeypatch):
+    # trial t of a suite draws from trial_rng(seed, suite, q_index * trials + t), q_index 0 but
+    # on the symmetric suite, at d_E = d_e_list[t % len(d_e_list)]; with 3 trials over (2, 3) a
+    # d_E read off the symmetric suite's flat index would pick the other dimension
+    trials, seed, d_e_list = 3, 8, (2, 3)
+    suites = (verification.SUITE_COLLECTIVE, verification.SUITE_RESTRICTED, verification.SUITE_SYMMETRIC)
+    assert suites == (1, 2, 4)  # the ids key the streams, so they belong to the reproducible output
+
+    def rng(suite, index):
+        return trial_rng(seed, suite, index)
+
+    collective = [random_collective_attack(d_e_list[t % 2], rng(1, t)) for t in range(trials)]
+    restricted = [random_restricted_attack(d_e_list[t % 2], rng(2, t)) for t in range(trials)]
+    symmetric = [
+        random_symmetric_attack(q, rng(4, q_index * trials + t), d_e_list[t % 2])
+        for q_index, q in enumerate(Q_GRID)
+        for t in range(trials)
+    ]
+    # the k-th residual of each equivalence suite, read where the suite calls its per-trial function
+    for check, trial_fn, attacks in (
+        (check_thm1_equivalence, "collective_reduction_residual", collective),
+        (check_thm2_equivalence, "restricted_reduction_residual", restricted),
+    ):
+        original, seen = getattr(verification, trial_fn), []
+
+        def recorded(attack, original=original, seen=seen):
+            seen.append(original(attack))
+            return seen[-1]
+
+        monkeypatch.setattr(verification, trial_fn, recorded)
+        report = check(trials, seed, d_e_list)
+        assert seen == [original(a) for a in attacks]
+        assert report.max_residual == max(seen)
+    sample = symmetric_diagnostics_sample(trials, seed, d_e_list)
+    assert sample == [symmetric_attack_diagnostics(a) for a in symmetric]
+    assert [d.d_e for d in sample] == [2, 3, 2] * len(Q_GRID)
+
+    def gram_residual(m):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+
+    replayed = [derive_restricted_from_collective(a) for a in collective] + restricted + symmetric
+    worst = max(
+        max(map(gram_residual, (forward_isometry(a), build_rewind(a), a.u, derive_reduced_attack(a).v)))
+        for a in replayed
+    )
+    report = check_isometries(trials, seed, d_e_list)
+    assert report.trials == len(replayed) and report.max_residual == worst
 
 
 def test_verify_report_consistency_gate():
