@@ -84,13 +84,9 @@ _parser = functools.cache(build_parser)
 
 
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
+    if type(value) is float or not isinstance(value, (str, int)):  # floats first: most cells
+        return f"{value:.12g}"
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def _render(rows: Sequence[dict], fmt: str) -> str:

@@ -213,28 +213,29 @@ def resend_entropy_bound(s_tau: float, q: float) -> tuple[float, str]:
     branch s_tau / 2. The two branches agree at the crossover.
     """
     s_tau = _check_range("s_tau", s_tau, 0.0, 1.0)
-    delta = continuity_penalty(q)
+    return _resend_bound(s_tau, continuity_penalty(q))
+
+
+def _resend_bound(s_tau: float, delta: float) -> tuple[float, str]:
+    """:func:`resend_entropy_bound` at a checked ``s_tau`` and the penalty ``delta``."""
     if s_tau >= 2.0 * delta:
         return s_tau - delta, MAIN_BRANCH
     return 0.5 * s_tau, FLOOR_BRANCH
 
 
-def key_rate(q: float, model: QxModel) -> KeyRateReport:
-    """Key-rate bound r = g - h(Q) at Z error rate Q under a channel model."""
+def _point(q: float, model: QxModel) -> tuple[float, float, float, float, float, str, float, float]:
+    """The fields of ``key_rate(q, model)``, in order, with one penalty evaluation."""
     q = _check_range("Q", q, 0.0, 0.5)
     q_x = model.q_x(q)
     s_tau = reflect_entropy_bound(q_x)
-    g, branch = resend_entropy_bound(s_tau, q)
-    return KeyRateReport(
-        q=q,
-        q_x=q_x,
-        epsilon=4.0 * q * (1.0 - q),
-        delta=continuity_penalty(q),
-        s_tau_bound=s_tau,
-        branch=branch,
-        g=g,
-        r=g - binary_entropy(q),
-    )
+    delta = continuity_penalty(q)
+    g, branch = _resend_bound(_check_range("s_tau", s_tau, 0.0, 1.0), delta)
+    return q, q_x, 4.0 * q * (1.0 - q), delta, s_tau, branch, g, g - binary_entropy(q)
+
+
+def key_rate(q: float, model: QxModel) -> KeyRateReport:
+    """Key-rate bound r = g - h(Q) at Z error rate Q under a channel model."""
+    return KeyRateReport(*_point(q, model))
 
 
 _GRID_STEP = 1e-3
@@ -256,7 +257,7 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
         raise ValueError(f"tolerance must be positive, got {tol}")
     steps = round(0.5 / _GRID_STEP)
     grid = [i * _GRID_STEP for i in range(steps + 1)]
-    rates = [key_rate(q, model).r for q in grid]
+    rates = [_point(q, model)[-1] for q in grid]
     if rates[0] <= 0.0:
         raise ArithmeticError(f"key rate at Q=0 is {rates[0]}, not positive")
     for i in range(steps):
@@ -273,7 +274,7 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # the bracket is down to adjacent floats
             break
-        if key_rate(mid, model).r >= 0.0:
+        if _point(mid, model)[-1] >= 0.0:
             lo = mid
         else:
             hi = mid

@@ -308,7 +308,9 @@ def _check_range(name: str, value: float, low: float, high: float) -> float:
 
 
 def _check_integer(name: str, value: float) -> int:
-    """``value`` as an int; a fractional, infinite, NaN or beyond-float value raises ValueError."""
+    """``value`` as an int; a fractional, infinite, NaN or beyond-float value, or text, raises ValueError."""
+    if isinstance(value, (str, bytes, bytearray, memoryview)):  # float("3") would parse it
+        raise ValueError(f"{name}={value!r} is not an integer")
     try:
         if float(value).is_integer():
             return int(value)

@@ -13,10 +13,11 @@ import pytest
 
 import sqkd
 from sqkd.attacks import random_collective_attack
+from sqkd.cli import main
 from sqkd.keyrate import EQUAL, keyrate_curve
 from sqkd.linalg import basis_state, haar_random_unitary, layout
 from sqkd.tolerances import Tolerances
-from sqkd.verification import check_lemma_trd
+from sqkd.verification import check_lemma_trd, run_all_checks
 
 
 def test_public_names_resolve():
@@ -52,7 +53,7 @@ def test_public_names_resolve():
 def test_non_integral_sizes_are_rejected(size_of):
     # integral floats and numpy integers are sizes; anything with a fraction is not
     assert size_of(3.0) == size_of(np.int64(3)) == 3
-    for bad in (2.5, 2.7, 3.9, float("inf"), float("nan")):
+    for bad in (2.5, 2.7, 3.9, float("inf"), float("nan"), "3", b"3"):
         with pytest.raises(ValueError, match="not an integer"):
             size_of(bad)
     # an int beyond float range is refused with a ValueError, never an OverflowError;
@@ -61,6 +62,20 @@ def test_non_integral_sizes_are_rejected(size_of):
         assert size_of(10**400) == 10**400
     except ValueError as exc:
         assert "beyond float range" in str(exc)
+
+
+def test_text_is_not_a_size():
+    # float("3") parses, so text would pass as a number if it were not refused first
+    calls = [
+        lambda: check_lemma_trd("3", 1),
+        lambda: basis_state("2", 0),
+        lambda: run_all_checks(1, 1, "23"),
+        lambda: run_all_checks(1, "1"),
+        lambda: keyrate_curve(0, 0.1, "5", EQUAL),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
 
 
 def test_every_tolerance_is_read():
@@ -109,3 +124,21 @@ def test_readme_session_prints_what_it_promises():
     stats, rate, threshold = out.getvalue().splitlines()
     assert len(stats.split()) == 3
     assert rate.startswith("0.2837") and threshold.startswith("0.06149")
+
+
+def test_readme_cli_examples_print_what_they_show():
+    # each `$ sqkd rate|threshold|curve` block: every line shown but `...` is printed at its place
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n\$ sqkd (rate|threshold|curve) (.*?)\n(.*?)```", readme, flags=re.DOTALL)
+    assert sorted(command for command, _, _ in blocks) == ["curve", "rate", "threshold"]
+    for command, args, shown in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, *args.split()]) == 0
+        printed, shown = out.getvalue().splitlines(), shown.splitlines()
+        if "..." not in shown:
+            assert len(printed) == len(shown), command
+        assert len(printed) >= len(shown), command
+        for i, line in enumerate(shown):
+            if line != "...":
+                assert printed[i] == line, f"{command} line {i}"

@@ -11,10 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqkd
-from sqkd.cli import build_parser, main
+from sqkd.cli import _cell, build_parser, main
 from sqkd.keyrate import DEPOLARIZING, EQUAL, key_rate, noise_threshold
 from sqkd.verification import CHECK_NAMES
 
@@ -111,6 +112,37 @@ def test_keyrate_outputs_match_recorded_digests(capsys):
         if code != 0 or hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] != expected:
             mismatched.append(command)
     assert not mismatched, f"{len(mismatched)} of {len(digests)} differ, first: {mismatched[0]}"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        ("floor", "floor"),
+        ("", ""),
+        (True, "true"),
+        (False, "false"),
+        (0, "0"),
+        (400, "400"),
+        (-3, "-3"),
+        (0.0, "0"),
+        (1.0, "1"),
+        (0.1164, "0.1164"),
+        (1 / 3, "0.333333333333"),
+        (1e-9, "1e-09"),
+        (-0.103268785303241, "-0.103268785303"),
+        (123456789012345.0, "1.23456789012e+14"),
+        (np.float64(0.1164), "0.1164"),
+        (np.float64(2) / 3, "0.666666666667"),
+        (float("nan"), "nan"),
+        (np.float64("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (np.float64("inf"), "inf"),
+    ],
+)
+def test_csv_cells(value, text):
+    # str as it is, bool in lower case, int in full, any float at 12 significant digits
+    assert _cell(value) == text
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

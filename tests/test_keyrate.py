@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqkd.keyrate
 from sqkd.keyrate import (
     DEPOLARIZING,
     EQUAL,
@@ -40,6 +41,10 @@ REFLECT_BOUND_AT_5PC = 0.713603042884044
 EQUAL_THRESHOLD = 0.061490470079
 DEPOLARIZING_THRESHOLD = 0.048220727323
 HALF_THRESHOLD = 0.075069560814
+
+# every model with a threshold that the CLI's rate, threshold and curve are run on
+THRESHOLD_MODELS = [EQUAL, DEPOLARIZING, HALF] + [QxModel.parse(f"explicit:{k * 0.005:.3f}") for k in range(23)]
+SCAN_GRID = [i * 1e-3 for i in range(501)]
 
 
 def test_qx_model_parsing_round_trips():
@@ -187,6 +192,59 @@ def test_key_rate_validation():
         key_rate(-0.01, EQUAL)
     with pytest.raises(ValueError):
         key_rate(0.51, EQUAL)
+
+
+def test_key_rate_evaluates_the_penalty_once(monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return continuity_penalty(q)
+
+    monkeypatch.setattr(sqkd.keyrate, "continuity_penalty", counted)
+    for q in (0.0, 0.03, 0.05, 0.5):
+        calls.clear()
+        key_rate(q, EQUAL)
+        assert calls == [q]
+
+
+def test_report_fields_match_the_public_bounds_bitwise():
+    # delta is the penalty key_rate evaluated once; g is what resend_entropy_bound gives
+    for model in (EQUAL, DEPOLARIZING, HALF, explicit(0.3)):
+        for q in SCAN_GRID:
+            report = key_rate(q, model)
+            assert report.delta == continuity_penalty(q)
+            assert (report.g, report.branch) == resend_entropy_bound(report.s_tau_bound, q)
+            assert report.s_tau_bound == reflect_entropy_bound(report.q_x)
+
+
+def test_noise_threshold_builds_no_report(monkeypatch):
+    built = []
+    monkeypatch.setattr(KeyRateReport, "__post_init__", lambda self: built.append(self.q))
+    assert abs(noise_threshold(EQUAL) - EQUAL_THRESHOLD) < 5e-6
+    assert built == []
+    key_rate(0.03, EQUAL)
+    assert built == [0.03]
+
+
+@pytest.mark.parametrize("model", THRESHOLD_MODELS, ids=str)
+def test_threshold_reads_the_rates_of_key_rate(monkeypatch, model):
+    # every rate the scan and the bisection read is key_rate's r at that point, bit for bit
+    seen = []
+    point = sqkd.keyrate._point
+
+    def recorded(q, m):
+        fields = point(q, m)
+        seen.append((q, fields[-1]))
+        return fields
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sqkd.keyrate, "_point", recorded)
+        noise_threshold(model)
+    assert [q for q, _ in seen[: len(SCAN_GRID)]] == SCAN_GRID
+    assert len(seen) > len(SCAN_GRID)  # the bisection read some points too
+    mismatched = [q for q, r in seen if r != key_rate(q, model).r]
+    assert not mismatched, f"{model}: r differs from key_rate at {mismatched[:5]}"
 
 
 def test_report_as_dict_schema():
