@@ -18,6 +18,7 @@ simulations live in :mod:`sqkd.attacks`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,37 +240,35 @@ def key_rate(q: float, model: QxModel) -> KeyRateReport:
 
 
 _GRID_STEP = 1e-3
-_MONOTONE_SLACK = 1e-12
 
 
 def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
     """Largest Z error rate with a nonnegative key rate, to precision tol.
 
-    Scans r(Q) on a grid of step 1e-3 over [0, 1/2], requiring it to be
-    monotone decreasing (within 1e-12) so the first sign change is the
-    only one, then bisects that bracket down to width ``tol`` and returns
-    its midpoint; a ``tol`` below the float spacing there stops the
-    bisection at two adjacent floats instead. Raises
-    :class:`ThresholdAtBoundary` if the rate never goes negative, ArithmeticError
-    if r(0) <= 0 (no threshold exists) and ValueError if monotonicity fails.
+    Bisects the indices of a grid of step 1e-3 over [0, 1/2] down to the cell
+    where r(Q) turns negative, then that cell down to width ``tol`` (or to two
+    adjacent floats) and returns its midpoint. Raises :class:`ThresholdAtBoundary`
+    if r(1/2) >= 0, ArithmeticError if r(0) <= 0 (no threshold exists) and
+    ValueError for a ``QxModel`` subclass, whose ``q_x`` may break what the
+    bisection needs: r is nonincreasing on [0, 1/2]. Each fixed ``q_x`` is
+    nondecreasing there and stays in [0, 1/2], where h rises, and ``explicit``
+    is constant, so s_tau = 1 - h(Q_X) falls; delta(Q) rises, as 4Q(1-Q) <= 1
+    does; ``_resend_bound`` is max(s_tau - delta, s_tau/2), two nonincreasing
+    terms; and h(Q) rises.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if type(model) is not QxModel:
+        raise ValueError(f"need a plain QxModel, whose rate is monotone; got {type(model).__name__}")
     steps = round(0.5 / _GRID_STEP)
-    grid = [i * _GRID_STEP for i in range(steps + 1)]
-    rates = [_point(q, model)[-1] for q in grid]
-    if rates[0] <= 0.0:
-        raise ArithmeticError(f"key rate at Q=0 is {rates[0]}, not positive")
-    for i in range(steps):
-        if rates[i + 1] > rates[i] + _MONOTONE_SLACK:
-            raise ValueError(
-                f"key rate is not monotone decreasing near Q={grid[i]:.3f} "
-                f"({rates[i]} -> {rates[i + 1]})"
-            )
-    bracket = next((i for i in range(steps) if rates[i] >= 0.0 > rates[i + 1]), None)
-    if bracket is None:
-        raise ThresholdAtBoundary(rates[-1])
-    lo, hi = grid[bracket], grid[bracket + 1]
+    r_0, r_end = (_point(i * _GRID_STEP, model)[-1] for i in (0, steps))
+    if r_0 <= 0.0:
+        raise ArithmeticError(f"key rate at Q=0 is {r_0}, not positive")
+    if r_end >= 0.0:
+        raise ThresholdAtBoundary(r_end)
+    # the first grid index in [1, steps] with a negative rate
+    hi = bisect_left(range(steps), True, 1, steps, key=lambda i: _point(i * _GRID_STEP, model)[-1] < 0.0)
+    lo, hi = (hi - 1) * _GRID_STEP, hi * _GRID_STEP
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # the bracket is down to adjacent floats

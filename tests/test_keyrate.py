@@ -30,6 +30,7 @@ from sqkd.keyrate import (
     resend_entropy_bound,
 )
 from sqkd.linalg import binary_entropy
+from threshold_reference import scan_threshold
 
 EXACT = 1e-12
 
@@ -229,7 +230,7 @@ def test_noise_threshold_builds_no_report(monkeypatch):
 
 @pytest.mark.parametrize("model", THRESHOLD_MODELS, ids=str)
 def test_threshold_reads_the_rates_of_key_rate(monkeypatch, model):
-    # every rate the scan and the bisection read is key_rate's r at that point, bit for bit
+    # every rate the bisection reads is key_rate's r at that point, bit for bit
     seen = []
     point = sqkd.keyrate._point
 
@@ -241,10 +242,58 @@ def test_threshold_reads_the_rates_of_key_rate(monkeypatch, model):
     with monkeypatch.context() as patch:
         patch.setattr(sqkd.keyrate, "_point", recorded)
         noise_threshold(model)
-    assert [q for q, _ in seen[: len(SCAN_GRID)]] == SCAN_GRID
-    assert len(seen) > len(SCAN_GRID)  # the bisection read some points too
+    # two grid ends, at most 9 steps over the 500 grid cells, 10 halvings of a cell to 1e-6
+    assert len(seen) <= 21, f"{model}: {len(seen)} points read"
     mismatched = [q for q, r in seen if r != key_rate(q, model).r]
     assert not mismatched, f"{model}: r differs from key_rate at {mismatched[:5]}"
+
+
+@pytest.mark.parametrize("grid", [SCAN_GRID, [i / 40000 for i in range(20001)]], ids=["501", "20001"])
+def test_rate_is_nonincreasing_in_q(grid):
+    # noise_threshold's grid bisection finds the cell a full scan would only because
+    # r never rises; its docstring gives the argument, this checks it in floats
+    def assert_nonincreasing(model, rates):
+        rises = np.flatnonzero(np.diff(rates) > 0.0)
+        assert rises.size == 0, f"{model}: r rises after Q = {[grid[i] for i in rises[:5]]}"
+
+    for model in (EQUAL, DEPOLARIZING, HALF):
+        assert_nonincreasing(model, np.array([key_rate(q, model).r for q in grid]))
+    # an explicit model fixes s_tau, so its rate is the larger resend branch at the
+    # same delta(Q), minus h(Q), which is key_rate's float arithmetic elementwise
+    delta = np.array([continuity_penalty(q) for q in grid])
+    h = np.array([binary_entropy(q) for q in grid])
+    every = len(grid) // 20  # the points checked against key_rate bitwise
+    for k in range(501):
+        model = QxModel.parse(f"explicit:{k / 1000:.3f}")
+        s_tau = reflect_entropy_bound(model.value)
+        rates = np.where(s_tau >= 2.0 * delta, s_tau - delta, 0.5 * s_tau) - h
+        assert list(rates[::every]) == [key_rate(q, model).r for q in grid[::every]]
+        assert_nonincreasing(model, rates)
+
+
+def _outcome(search, model, tol):
+    """The value ``search`` returns as hex, or the type and message of what it raises."""
+    try:
+        return search(model, tol).hex()
+    except (ArithmeticError, RuntimeError, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("model", THRESHOLD_MODELS + [explicit(0.25), explicit(0.4999), explicit(0.5)], ids=str)
+def test_threshold_matches_the_grid_scan(model):
+    # the bisection over grid indices finds the cell the full 501-point scan found
+    for tol in (1e-3, 1e-6, 1e-9, 1e-18, math.inf):
+        assert _outcome(noise_threshold, model, tol) == _outcome(scan_threshold, model, tol), (model, tol)
+
+
+def test_threshold_at_the_boundary_matches_the_grid_scan(monkeypatch):
+    # no model's rate stays nonnegative up to Q = 1/2; shifted up by 1, equal's
+    # rate is exactly 0 there, which still counts as no sign change
+    point = sqkd.keyrate._point
+    monkeypatch.setattr(sqkd.keyrate, "_point", lambda q, m: (*point(q, m)[:-1], point(q, m)[-1] + 1.0))
+    outcome = _outcome(noise_threshold, EQUAL, 1e-6)
+    assert outcome[0] is ThresholdAtBoundary
+    assert outcome == _outcome(scan_threshold, EQUAL, 1e-6)
 
 
 def test_report_as_dict_schema():
