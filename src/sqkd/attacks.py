@@ -18,10 +18,11 @@ between them:
   variant in which B themselves prepares the two-qubit state, with V the
   isometry that B's two preparation branches see; the rewind isometry
   (:func:`build_rewind`) converts a restricted attack into this form with
-  exactly the same joint state on (A1, A2, B, E). It holds its three round
-  states as read-only vectors, built once; key states and noise statistics
-  are Gram-product marginals of them, and only :func:`simulate_reduced`
-  forms a full density operator.
+  exactly the same joint state on (A1, A2, B, E). Its three round states are
+  read-only vectors, each built on first read and held, as the other two
+  forms hold their round maps; key states and noise statistics are
+  Gram-product marginals of them, and only :func:`simulate_reduced` forms
+  a full density operator.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
 simulated round stays pure: each attack holds its two-way round map, and the
@@ -32,14 +33,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
-    _apply_local,
     _check_integer,
     _check_range,
     _haar_unitaries,
@@ -88,11 +87,6 @@ MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
 _MAX_D_E = 8  # keeps every full system at dimension <= 64
 
-# the reduced rounds, and the sign of v's columns on (B = 0, B = 1): column 0
-# is on B = 0 in every round, column 1 on reflect, resend and aux as below
-_ROUNDS = (REFLECT, MEASURE_RESEND, _AUX)
-_COLUMN0_SIGNS = np.array([1.0, 0.0]).reshape(2, 1)
-_COLUMN1_SIGNS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]).reshape(3, 1, 2, 1)
 _REDUCED_LABELS = ("A1", "A2", "B", "E")
 
 
@@ -181,14 +175,13 @@ class ReducedAttack:
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> on (A1, A2, B), b = 0 on
     reflect and b = 1 on measure-and-resend rounds, and E starts in |0>,
     so the attack is the read-only (4 d_e, 2) isometry ``v`` whose columns
-    are its images of |000> and |110> on (A1, A2, E). The private ``_rounds``
-    holds the reflect, resend and aux (reflect with amp1 negated) round vectors
-    amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b>, read-only, on (A1, A2, B, E).
+    are its images of |000> and |110> on (A1, A2, E). The private ``_maps``
+    holds the round vectors that :func:`_round_vector` has built.
     """
 
     p0: float
     v: np.ndarray
-    _rounds: MappingProxyType = field(init=False, repr=False, compare=False)
+    _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
@@ -197,11 +190,6 @@ class ReducedAttack:
             raise ValueError(f"attack isometry has invalid shape {m.shape}")
         d_e = _check_d_e(m.shape[0] // 4)
         object.__setattr__(self, "v", _frozen_isometry(m, (4 * d_e, 2), "v"))
-        amp0, amp1 = math.sqrt(self.p0), math.sqrt(max(0.0, 1.0 - self.p0))
-        v = self.v.reshape(4, 1, d_e, 2)  # ((A1, A2), B, E, column)
-        rounds = amp0 * _COLUMN0_SIGNS * v[..., 0] + amp1 * _COLUMN1_SIGNS * v[..., 1]
-        rounds.setflags(write=False)  # (round, (A1, A2), B, E)
-        object.__setattr__(self, "_rounds", MappingProxyType(dict(zip(_ROUNDS, rounds.reshape(3, -1)))))
 
     @property
     def d_e(self) -> int:
@@ -295,7 +283,10 @@ def _round_map(attack, op: str) -> np.ndarray:
             forward[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
             u_rev = attack.u
         psi, lay = bob_operation(forward.reshape(-1), _layout(("T", "E", "A"), attack.d_e), op)
-        m = _apply_local(u_rev, psi, lay, ["T", "E"]).reshape(-1, 2)
+        # u_rev's input axes take psi's T and E axes (of T, B, E, A); its output axes return to their places
+        u_tensor = u_rev.reshape(2, attack.d_e, 2, attack.d_e)
+        out = np.tensordot(u_tensor, psi.reshape(lay.dims), axes=([2, 3], [0, 2]))
+        m = np.moveaxis(out, [0, 1], [0, 2]).reshape(-1, 2)
         m.setflags(write=False)
         attack._maps[op] = m
     return attack._maps[op]
@@ -423,8 +414,24 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     return ReducedAttack(p0, reverse @ rewind.reshape(4 * d_e, 2))
 
 
+def _round_vector(attack: ReducedAttack, name: str) -> np.ndarray:
+    """The read-only round vector amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b> on (A1, A2, B, E),
+    b = 1 on resend rounds, amp1 negated on the aux run, built on first read and held in
+    the attack's ``_maps``."""
+    if name not in attack._maps:
+        amp0, amp1 = math.sqrt(attack.p0), math.sqrt(max(0.0, 1.0 - attack.p0))
+        # each column's amplitudes on (B = 0, B = 1)
+        column1 = {REFLECT: (amp1, 0.0), MEASURE_RESEND: (0.0, amp1), _AUX: (-amp1, 0.0)}[name]
+        amps = np.array([(amp0, 0.0), column1]).reshape(2, 2, 1)  # (column, B, E)
+        v = attack.v.reshape(4, 1, attack.d_e, 2)  # ((A1, A2), B, E, column)
+        psi = (amps[0] * v[..., 0] + amps[1] * v[..., 1]).reshape(-1)
+        psi.setflags(write=False)
+        attack._maps[name] = psi
+    return attack._maps[name]
+
+
 def _round_marginal(attack: ReducedAttack, name: str, labels: tuple[str, ...]) -> np.ndarray:
-    return _pure_marginal(attack._rounds[name], _layout(_REDUCED_LABELS, attack.d_e), labels)
+    return _pure_marginal(_round_vector(attack, name), _layout(_REDUCED_LABELS, attack.d_e), labels)
 
 
 def _round_state(attack: ReducedAttack, name: str, labels: tuple[str, ...]) -> DensityOperator:
@@ -441,7 +448,7 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
     """
     if choice not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {choice!r}")
-    return DensityOperator.from_state(attack._rounds[choice], _layout(_REDUCED_LABELS, attack.d_e))
+    return DensityOperator.from_state(_round_vector(attack, choice), _layout(_REDUCED_LABELS, attack.d_e))
 
 
 def reduced_round_states(

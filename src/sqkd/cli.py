@@ -145,7 +145,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ThresholdAtBoundary, ArithmeticError, OSError) as exc:
+    except (ThresholdAtBoundary, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

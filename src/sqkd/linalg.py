@@ -207,24 +207,6 @@ def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...]
     return full.transpose(axes).reshape(lay.dim, lay.dim)
 
 
-def _apply_local(
-    op: np.ndarray, psi: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...] | list[str]
-) -> np.ndarray:
-    """``op psi`` for a state vector, without forming the full-space operator.
-
-    ``op`` acts on the tensor product of the listed factors in the listed
-    order, as in :func:`embed_operator`; it is contracted into those axes
-    of ``psi`` reshaped to the layout's factor dimensions.
-    """
-    positions = [lay.position(lab) for lab in labels]
-    dims = lay.dims
-    k = len(positions)
-    # op's output axes come first, then its input axes, which take psi's named axes
-    op_tensor = np.asarray(op, dtype=complex).reshape(tuple(dims[p] for p in positions) * 2)
-    out = np.tensordot(op_tensor, psi.reshape(dims), axes=(list(range(k, 2 * k)), positions))
-    return np.moveaxis(out, list(range(k)), positions).reshape(psi.shape)
-
-
 def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[str]) -> DensityOperator:
     """Trace out all factors not named in ``keep``.
 

@@ -13,6 +13,7 @@ from sqkd.attacks import (
     ReducedAttack,
     RestrictedAttack,
     _disc_sample,
+    _round_vector,
     alice_states,
     bob_operation,
     build_rewind,
@@ -602,28 +603,28 @@ def key_state_by_vector(psi, d_e):
 
 @pytest.mark.parametrize("d_e", [2, 3, 4, 8])
 def test_reduced_round_matches_kron_construction(d_e):
-    reduced = derive_reduced_attack(random_restricted_attack(d_e, np.random.default_rng(500 + d_e)))
+    attack = random_restricted_attack(d_e, np.random.default_rng(500 + d_e))
+    reduced = derive_reduced_attack(attack)
     vectors = {
         REFLECT: reduced_round_by_kron(reduced, 1.0, 0),
         MEASURE_RESEND: reduced_round_by_kron(reduced, 1.0, 1),
         "aux": reduced_round_by_kron(reduced, -1.0, 0),
     }
-    # the three held round vectors, the aux one included, cannot be written to
-    held = dict(reduced._rounds)
-    assert sorted(held) == sorted(vectors)
-    for name, psi in held.items():
-        assert np.max(np.abs(psi - vectors[name])) < EXACT
-        with pytest.raises(ValueError):
-            psi[0] = 0.0
-    with pytest.raises(TypeError):
-        reduced._rounds[REFLECT] = vectors[REFLECT]
-    returned = []
-    for op in (REFLECT, MEASURE_RESEND):
-        out = simulate_reduced(reduced, op)
+    # each round vector is built on first read: reading v alone, as check_isometries does, builds none
+    assert reduced._maps == {}
+    assert reduced.v.shape == (4 * d_e, 2)
+    assert reduced._maps == {}
+    returned = [simulate_reduced(reduced, REFLECT)]
+    assert list(reduced._maps) == [REFLECT]
+    returned.append(simulate_reduced(reduced, MEASURE_RESEND))
+    for out, op in zip(returned, (REFLECT, MEASURE_RESEND)):
         assert out.layout.labels == ("A1", "A2", "B", "E")
         assert np.max(np.abs(out.matrix - np.outer(vectors[op], vectors[op].conj()))) < EXACT
-        returned.append(out)
     key_states = reduced_round_states(reduced)
+    assert sorted(reduced._maps) == sorted(vectors)
+    fresh = derive_reduced_attack(attack)
+    reduced_round_states(fresh)
+    assert sorted(fresh._maps) == sorted(vectors)
     for state, name in zip(key_states, (REFLECT, MEASURE_RESEND, "aux")):
         assert np.max(np.abs(state.matrix - key_state_by_vector(vectors[name], d_e))) < EXACT
     returned.extend(key_states)
@@ -631,9 +632,18 @@ def test_reduced_round_matches_kron_construction(d_e):
     for state in returned:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 0.0
-    # each round is built once: no reader rebuilds or replaces a held vector
+    # the three held round vectors, the aux one included, match the reference and cannot be written to
+    held = dict(reduced._maps)
+    for name, psi in held.items():
+        assert np.max(np.abs(psi - vectors[name])) < EXACT
+        with pytest.raises(ValueError):
+            psi[0] = 0.0
+    # later readers neither rebuild nor replace a held vector
     estimate_noise_stats(reduced)
-    assert all(reduced._rounds[name] is psi for name, psi in held.items())
+    for op in (REFLECT, MEASURE_RESEND):
+        simulate_reduced(reduced, op)
+    assert reduced._maps.keys() == held.keys()
+    assert all(_round_vector(reduced, name) is psi for name, psi in held.items())
 
 
 def test_simulate_reduced_validation():

@@ -239,6 +239,14 @@ def test_threshold_without_positive_rate_exits_one(capsys):
     assert err == "error: key rate at Q=0 is 0.0, not positive\n"
 
 
+def test_grid_too_large_to_allocate_exits_one(capsys):
+    # 10^15 float64 points are 8 PB, beyond any 64-bit address space: the allocation fails at once
+    code, out, err = run_cli(capsys, "curve", "--qx-model", "equal", "--steps", "1000000000000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unwritable_output_exits_one(capsys, tmp_path):
     target = tmp_path / "missing" / "out.csv"
     code = main(["rate", "--q", "0", "--qx-model", "equal", "--output", str(target)])

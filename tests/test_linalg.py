@@ -12,7 +12,6 @@ from sqkd.tolerances import DEFAULT as TOL
 from sqkd.linalg import (
     VALID_LABELS,
     DensityOperator,
-    _apply_local,
     _haar_unitaries,
     _pure_marginal,
     SubsystemLayout,
@@ -217,15 +216,6 @@ def local_cases():
         lay = random_layout(rng)
         count = int(rng.integers(1, len(lay.labels) + 1))
         yield lay, [str(lab) for lab in rng.choice(lay.labels, size=count, replace=False)]
-
-
-def test_apply_local_matches_embedded_operator():
-    rng = np.random.default_rng(22)
-    for lay, labels in local_cases():
-        op = random_matrix(rng, math.prod(lay.dim_of(lab) for lab in labels))
-        full = embed_operator(op, lay, labels)
-        v = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
-        assert np.max(np.abs(_apply_local(op, v, lay, labels) - full @ v)) < 1e-12
 
 
 def test_embed_operator_matches_kron_construction_bitwise():

@@ -12,6 +12,7 @@ from sqkd.attacks import (
     REFLECT,
     CollectiveAttack,
     RestrictedAttack,
+    _round_vector,
     build_rewind,
     derive_reduced_attack,
     derive_restricted_from_collective,
@@ -234,7 +235,7 @@ def density_matrix_reference(attack):
     reduced = derive_reduced_attack(attack)
     lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e))
     full = {
-        name: DensityOperator.from_state(reduced._rounds[name], lay)
+        name: DensityOperator.from_state(_round_vector(reduced, name), lay)
         for name in (REFLECT, MEASURE_RESEND, "aux")
     }
     key = {
