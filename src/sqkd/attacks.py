@@ -418,6 +418,8 @@ def _round_vector(attack: ReducedAttack, name: str) -> np.ndarray:
     """The read-only round vector amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b> on (A1, A2, B, E),
     b = 1 on resend rounds, amp1 negated on the aux run, built on first read and held in
     the attack's ``_maps``."""
+    if not isinstance(attack, ReducedAttack):
+        raise TypeError(f"unsupported attack type {type(attack).__name__}")
     if name not in attack._maps:
         amp0, amp1 = math.sqrt(attack.p0), math.sqrt(max(0.0, 1.0 - attack.p0))
         # each column's amplitudes on (B = 0, B = 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -130,9 +130,10 @@ class VerifyReport:
             raise ValueError("passed flag contradicts residual and tolerance")
 
 
-def _report(check: str, trials: int, residuals: Iterable[float], tolerance: float) -> VerifyReport:
+def _report(check: str, residuals: Sequence[float], tolerance: float) -> VerifyReport:
+    """The report of ``check``: one trial per residual, the worst against ``tolerance``."""
     worst = float(max(residuals, default=0.0))
-    return VerifyReport(check, trials, worst, tolerance, worst <= tolerance)
+    return VerifyReport(check, len(residuals), worst, tolerance, worst <= tolerance)
 
 
 def _check_trials(trials: int) -> int:
@@ -180,22 +181,14 @@ def collective_reduction_residual(attack: CollectiveAttack) -> float:
     both operations in the entangled variant.
     """
     derived = derive_restricted_from_collective(attack)
-    worst = 0.0
-    for op in (MEASURE_RESEND, REFLECT):
-        for state in alice_states():
-            worst = max(
-                worst,
-                trace_distance(
-                    simulate_sqkd(attack, state, op), simulate_sqkd(derived, state, op)
-                ),
-            )
-        worst = max(
-            worst,
-            trace_distance(
-                simulate_entangled_sqkd(attack, op), simulate_entangled_sqkd(derived, op)
-            ),
+    return max(
+        trace_distance(simulate(attack, *args), simulate(derived, *args))
+        for op in (MEASURE_RESEND, REFLECT)
+        for simulate, args in (
+            *((simulate_sqkd, (state, op)) for state in alice_states()),
+            (simulate_entangled_sqkd, (op,)),
         )
-    return worst
+    )
 
 
 def restricted_reduction_residual(attack: RestrictedAttack) -> float:
@@ -348,7 +341,7 @@ def check_thm1_equivalence(
 ) -> VerifyReport:
     """Collective-to-restricted reduction over seeded Haar-random attacks."""
     residuals = _per_trial(SUITE_COLLECTIVE, collective_reduction_residual, trials, seed, d_e_list)
-    return _report("thm1-equivalence", len(residuals), residuals, TOL.equivalence)
+    return _report("thm1-equivalence", residuals, TOL.equivalence)
 
 
 def check_thm2_equivalence(
@@ -356,7 +349,7 @@ def check_thm2_equivalence(
 ) -> VerifyReport:
     """Restricted-to-reduced protocol equivalence over seeded random attacks."""
     residuals = _per_trial(SUITE_RESTRICTED, restricted_reduction_residual, trials, seed, d_e_list)
-    return _report("thm2-equivalence", len(residuals), residuals, TOL.equivalence)
+    return _report("thm2-equivalence", residuals, TOL.equivalence)
 
 
 def check_lemma_trd(trials: int, seed: int) -> VerifyReport:
@@ -373,7 +366,7 @@ def check_lemma_trd(trials: int, seed: int) -> VerifyReport:
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         residuals.append(vector_pair_residual(v0, v1))
-    return _report("lemma-trd", trials, residuals, TOL.equivalence)
+    return _report("lemma-trd", residuals, TOL.equivalence)
 
 
 def check_isometries(
@@ -386,10 +379,9 @@ def check_isometries(
     worst Gram-matrix residual of the forward and two-column rewind
     isometries, the reverse unitary, and the derived one-shot isometry.
     """
-    d_e_list = _check_d_e_list(d_e_list)
-    trials = _check_trials(trials)
-
-    def residual(attack: RestrictedAttack) -> float:
+    def residual(attack: CollectiveAttack | RestrictedAttack) -> float:
+        if isinstance(attack, CollectiveAttack):
+            attack = derive_restricted_from_collective(attack)
         return max(
             _isometry_residual(forward_isometry(attack)),
             _isometry_residual(build_rewind(attack)),
@@ -397,12 +389,9 @@ def check_isometries(
             _isometry_residual(derive_reduced_attack(attack).v),
         )
 
-    residuals = [
-        residual(derive_restricted_from_collective(a) if suite == SUITE_COLLECTIVE else a)
-        for suite in (SUITE_COLLECTIVE, SUITE_RESTRICTED, SUITE_SYMMETRIC)
-        for a in _attacks(suite, trials, seed, d_e_list)
-    ]
-    return _report("isometries", len(residuals), residuals, TOL.isometry)
+    suites = (SUITE_COLLECTIVE, SUITE_RESTRICTED, SUITE_SYMMETRIC)
+    residuals = [r for suite in suites for r in _per_trial(suite, residual, trials, seed, d_e_list)]
+    return _report("isometries", residuals, TOL.isometry)
 
 
 def run_all_checks(
@@ -426,8 +415,6 @@ def run_all_checks(
         ("main-ent", main_bound_residual),
         ("epsilon-bound", epsilon_residual),
     ):
-        reports.append(
-            _report(name, len(sample), [residual_fn(d) for d in sample], TOL.equivalence)
-        )
+        reports.append(_report(name, [residual_fn(d) for d in sample], TOL.equivalence))
     assert tuple(r.check for r in reports) == CHECK_NAMES
     return reports

@@ -336,6 +336,18 @@ def test_round_map_validation_holds_no_map():
         simulate_sqkd(reduced, basis_state(2, 0), REFLECT)
     with pytest.raises(TypeError):
         simulate_entangled_sqkd(reduced, MEASURE_RESEND)
+    # the mirror case: a two-way attack's held round maps are not round vectors
+    for attack in (random_collective_attack(2, rng), identity_symmetric()):
+        for held in ((), (MEASURE_RESEND, REFLECT)):
+            for op in held:
+                simulate_entangled_sqkd(attack, op)
+            assert set(attack._maps) == set(held)
+            for op in (MEASURE_RESEND, REFLECT):
+                with pytest.raises(TypeError, match="unsupported attack type"):
+                    simulate_reduced(attack, op)
+            with pytest.raises(TypeError, match="unsupported attack type"):
+                reduced_round_states(attack)
+            assert set(attack._maps) == set(held)
 
 
 def test_simulate_sqkd_identity_attack():

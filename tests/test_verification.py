@@ -23,6 +23,15 @@ from sqkd.attacks import (
     random_symmetric_attack,
     simulate_reduced,
 )
+from sqkd.keyrate import (
+    FLOOR_BRANCH,
+    MAIN_BRANCH,
+    continuity_bound,
+    explicit,
+    key_rate,
+    reflect_entropy_bound,
+    resend_entropy_bound,
+)
 from sqkd.linalg import (
     DensityOperator,
     conditional_entropy,
@@ -330,6 +339,15 @@ CLOSED_FORMS = {
 }
 # the true key rate S(A1^Z|E) - H(A1^Z|B^Z) on resend rounds
 TRUE_RATES = {"no-attack": 1.0, "z-copy-intercept": 0.0, "reverse-phase-flip": 1.0, "swap-forward": -1.0}
+# slack of each verify inequality, in order: S_Z + S_X - 1, S_Z - (1 - h(folded Q_X)),
+# continuity_bound(td) - |S_reflect - S_aux|, S_resend - f, true rate - r, 4Q(1-Q) - td;
+# then the branch that both f and r take
+SLACKS = {
+    "no-attack": ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0), MAIN_BRANCH),
+    "z-copy-intercept": ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0), MAIN_BRANCH),
+    "reverse-phase-flip": ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0), MAIN_BRANCH),
+    "swap-forward": ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), FLOOR_BRANCH),
+}
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_ATTACKS))
@@ -373,6 +391,22 @@ def test_named_attacks_match_closed_forms(name):
     In all four S(A1^Z|E) + S(A1^X|A2) = 1: the uncertainty relation is
     tight, an edge that Haar-sampled attacks never reach. The true rate
     S(A1^Z|E) - H(A1^Z|B^Z) on resend rounds is 1, 0, 1 and -1 in turn.
+
+    Slack, each inequality's bound side minus its bounded side, in the
+    order of SLACKS:
+
+    - Uncertainty: S_Z + S_X - 1 = 0 as above. The folded Q_X is 0, 1/2,
+      0 and 1/2, so 1 - h(folded Q_X) is 1, 0, 1 and 0, which is S_Z.
+    - Continuity: td = 0 and S_reflect = S_aux in all four, and
+      continuity_bound(0) = 0.
+    - Main-ent: under the first three Q = 0, so delta = 0 <= S_tau/2 and f
+      and r take the main branch. f = S_reflect - 0 = S_resend, and
+      r = (1 - h(folded Q_X)) - h(0) = S_resend - H(A1^Z|B^Z), the true
+      rate. Under SWAP forward Q = 1/2 and delta(1/2) = 1/2 + h(1/2) = 1.5
+      exceeds S_tau/2 = 0, so both take the floor branch S_tau/2 = 0:
+      f = 0 = S_resend, and r = 0 - h(1/2) = -1, the true rate.
+    - Epsilon: 4Q(1-Q) - td is 0 at Q = 0 and 1 - 0 = 1 under SWAP forward,
+      the one inequality with room to spare.
     """
     collective = CollectiveAttack(*NAMED_ATTACKS[name], 2)
     restricted = derive_restricted_from_collective(collective)
@@ -385,9 +419,23 @@ def test_named_attacks_match_closed_forms(name):
     diag = symmetric_attack_diagnostics(restricted)
     for field in SymmetricAttackDiagnostics.__dataclass_fields__:
         assert abs(getattr(diag, field) - getattr(expected, field)) <= EXACT, field
-    assert abs(diag.s_reflect + diag.s_x_given_a2 - 1.0) <= EXACT
     assert uncertainty_residual(diag) <= EXACT
     assert abs(diag.s_resend - diag.h_key_given_b - TRUE_RATES[name]) <= EXACT
+    slacks, branch = SLACKS[name]
+    folded_q_x = min(diag.q_x, 1.0 - diag.q_x)
+    f_value, f_branch = resend_entropy_bound(diag.s_reflect, diag.q)
+    rate = key_rate(diag.q, explicit(folded_q_x))
+    observed = (
+        diag.s_reflect + diag.s_x_given_a2 - 1.0,
+        diag.s_reflect - reflect_entropy_bound(folded_q_x),
+        continuity_bound(diag.td_reflect_aux) - abs(diag.s_reflect - diag.s_aux),
+        diag.s_resend - f_value,
+        diag.s_resend - diag.h_key_given_b - rate.r,
+        4.0 * diag.q * (1.0 - diag.q) - diag.td_reflect_aux,
+    )
+    for value, slack in zip(observed, slacks, strict=True):
+        assert abs(value - slack) <= EXACT
+    assert (f_branch, rate.branch) == (branch, branch)
 
 
 def test_run_all_checks_order_and_passes():
@@ -395,6 +443,8 @@ def test_run_all_checks_order_and_passes():
     assert tuple(report.check for report in reports) == CHECK_NAMES
     assert all(report.passed for report in reports)
     assert all(report.max_residual <= report.tolerance for report in reports)
+    # trials per equivalence suite and lemma-trd; trials per Q_GRID point in the entropy suites
+    assert [report.trials for report in reports] == [2, 2, 2, 8, 8, 8, 8]
 
 
 @pytest.mark.parametrize("trials, seed, d_e_list", [(20, 42, (2, 3, 4)), (3, 5, (8,))])
