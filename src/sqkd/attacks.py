@@ -102,10 +102,7 @@ def _frozen_isometry(m: np.ndarray, shape: tuple[int, int], what: str) -> np.nda
 
 
 def _check_d_e(d_e: int, minimum: int = 1) -> int:
-    d_e = _check_integer("ancilla dimension", d_e)
-    if not minimum <= d_e <= _MAX_D_E:
-        raise ValueError(f"ancilla dimension {d_e} outside [{minimum}, {_MAX_D_E}]")
-    return d_e
+    return _check_integer("ancilla dimension", d_e, minimum, _MAX_D_E)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +153,7 @@ class RestrictedAttack:
             object.__setattr__(self, name, _check_range(name, getattr(self, name), 0.0, 1.0))
         for name in ("eta0", "eta1"):
             value = complex(getattr(self, name))
-            if not abs(value) <= 1.0 + 1e-12:
-                raise ValueError(f"|{name}|={abs(value)} exceeds 1")
+            _check_range(f"|{name}|", abs(value), 0.0, 1.0)
             object.__setattr__(self, name, value)
         residual = abs(
             self.q0 * self.eta1 * math.sqrt(max(0.0, 1.0 - self.q1**2))

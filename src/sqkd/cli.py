@@ -111,8 +111,6 @@ def _parse_d_e(text: str) -> tuple[int, ...]:
 def _rows(args: argparse.Namespace) -> tuple[list[dict], bool]:
     """The command's output rows and whether all checks passed."""
     if args.command == "verify":
-        if args.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {args.seed}")
         reports = run_all_checks(args.trials, args.seed, _parse_d_e(args.d_e))
         return [dataclasses.asdict(r) for r in reports], all(r.passed for r in reports)
     model = QxModel.parse(args.qx_model)

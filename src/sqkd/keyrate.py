@@ -236,6 +236,8 @@ def _point(q: float, model: QxModel) -> tuple[float, float, float, float, float,
 
 def key_rate(q: float, model: QxModel) -> KeyRateReport:
     """Key-rate bound r = g - h(Q) at Z error rate Q under a channel model."""
+    if not isinstance(model, QxModel):  # not in _point, the threshold's inner loop
+        raise ValueError(f"need a QxModel, got {type(model).__name__}")
     return KeyRateReport(*_point(q, model))
 
 
@@ -286,7 +288,5 @@ def keyrate_curve(q_min: float, q_max: float, steps: int, model: QxModel) -> lis
     q_max = _check_range("q_max", q_max, 0.0, 0.5)
     if not q_min < q_max:
         raise ValueError(f"empty range: q_min={q_min} must be below q_max={q_max}")
-    steps = _check_integer("steps", steps)
-    if steps < 2:
-        raise ValueError(f"steps={steps} must be at least 2")
+    steps = _check_integer("steps", steps, 2)
     return [key_rate(float(q), model) for q in np.linspace(q_min, q_max, steps)]

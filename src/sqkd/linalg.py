@@ -67,10 +67,8 @@ class SubsystemLayout:
         for lab, dim in self.factors:
             if lab not in VALID_LABELS:
                 raise ValueError(f"unknown label {lab!r}; expected one of {VALID_LABELS}")
-            if type(dim) is not int:  # layouts derived from valid ones carry ints already
-                dim = _check_integer(f"dimension of {lab!r}", dim)
-            if dim < 1:
-                raise ValueError(f"factor {lab!r} has non-positive dimension {dim}")
+            # layouts derived from valid ones carry positive ints already
+            dim = dim if type(dim) is int and dim >= 1 else _check_integer(f"dimension of {lab!r}", dim, 1)
             factors.append((lab, dim))
         object.__setattr__(self, "factors", tuple(factors))
 
@@ -176,11 +174,9 @@ class DensityOperator:
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in the given dimension."""
-    dim = _check_integer("dimension", dim)
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
+    dim = _check_integer("dimension", dim, 1)
     v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
+    v[_check_integer("basis index", index, 0, dim - 1)] = 1.0
     return v
 
 
@@ -289,16 +285,19 @@ def _check_range(name: str, value: float, low: float, high: float) -> float:
     return low if value < low else high if value > high else value
 
 
-def _check_integer(name: str, value: float) -> int:
-    """``value`` as an int; a fractional, infinite, NaN or beyond-float value, or text, raises ValueError."""
+def _check_integer(name: str, value: float, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as an int in [low, high]; text, a fractional, infinite, NaN or beyond-float
+    value, or one outside the bounds raises ValueError."""
     if isinstance(value, (str, bytes, bytearray, memoryview)):  # float("3") would parse it
         raise ValueError(f"{name}={value!r} is not an integer")
     try:
-        if float(value).is_integer():
-            return int(value)
+        if not float(value).is_integer():
+            raise ValueError(f"{name}={value} is not an integer")
     except OverflowError:
         raise ValueError(f"{name} is beyond float range") from None
-    raise ValueError(f"{name}={value} is not an integer")
+    if low <= (value := int(value)) <= high:
+        return value
+    raise ValueError(f"{name} {value} outside [{low}, {high}]")
 
 
 def binary_entropy(x: float) -> float:
@@ -384,10 +383,7 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     QR decomposition of a complex Gaussian matrix with the R diagonal
     phase-normalized, which makes the distribution exactly Haar.
     """
-    dim = _check_integer("dimension", dim)
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return _haar_unitaries(dim, rng, 1)[0]
+    return _haar_unitaries(_check_integer("dimension", dim, 1), rng, 1)[0]
 
 
 def _haar_unitaries(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -4,9 +4,9 @@ This record holds the nine tolerances of state and attack validation and the
 gates of the verification suites, each named and documented here: ``isometry``
 bounds every V*V = I and the parameter constraint, ``trace_one`` every trace and
 norm^2. A few fixed constants live next to the code they guard instead: the 1e-12
-roundoff slack of range checks (``linalg._check_range`` and the |eta| <= 1
-check of ``attacks.RestrictedAttack``), and the 1e-12 floors below which
-``derive_restricted_from_collective``, ``build_rewind`` and
+roundoff slack of range checks, written only in ``linalg._check_range`` (the
+|eta| <= 1 check of ``attacks.RestrictedAttack`` calls it), and the 1e-12 floors
+below which ``derive_restricted_from_collective``, ``build_rewind`` and
 ``random_restricted_attack`` treat a norm or coefficient as zero. Entropies
 take no tolerance: ``linalg._entropy_bits`` counts every positive eigenvalue.
 

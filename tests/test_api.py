@@ -46,9 +46,10 @@ def test_public_names_resolve():
         lambda n: len(keyrate_curve(0.0, 0.1, n, EQUAL)),
         lambda n: layout(("T", n), ("E", 2)).dims[0],
         lambda n: len(basis_state(n, 1)),
+        lambda n: int(np.argmax(basis_state(4, n))),
         lambda n: len(haar_random_unitary(n, np.random.default_rng(0))),
     ],
-    ids=["d_e", "trials", "steps", "layout", "basis_state", "haar_random_unitary"],
+    ids=["d_e", "trials", "steps", "layout", "basis_state", "basis_index", "haar_random_unitary"],
 )
 def test_non_integral_sizes_are_rejected(size_of):
     # integral floats and numpy integers are sizes; anything with a fraction is not

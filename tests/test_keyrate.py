@@ -343,6 +343,17 @@ def test_noise_threshold_rejects_non_monotone_rate():
         noise_threshold(_OscillatingModel("equal"))
 
 
+def test_model_name_is_not_a_model():
+    # a name is not a model: QxModel.parse turns one into the other
+    for call in (
+        lambda: key_rate(0.03, "equal"),
+        lambda: keyrate_curve(0.0, 0.1, 3, "equal"),
+        lambda: noise_threshold("equal"),
+    ):
+        with pytest.raises(ValueError, match="QxModel"):
+            call()
+
+
 def test_threshold_at_boundary_attributes():
     err = ThresholdAtBoundary(0.125)
     assert err.boundary_rate == 0.125

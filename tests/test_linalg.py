@@ -154,6 +154,13 @@ def test_basis_state():
     assert np.array_equal(v, np.array([0, 0, 1, 0], dtype=complex))
     with pytest.raises(ValueError):
         basis_state(3, 3)
+    # the index is an integer in [0, dim - 1]: a bool is the integer it stands for, not a mask
+    assert np.array_equal(basis_state(2, True), basis_state(2, 1))
+    assert np.array_equal(basis_state(3, False), basis_state(3, 0))
+    assert np.array_equal(basis_state(4, 3.0), basis_state(4, np.int64(3)))
+    for bad in (-1, 4, 0.5, "1", float("nan")):
+        with pytest.raises(ValueError, match="basis index"):
+            basis_state(4, bad)
 
 
 def test_permute_factors_swaps_kron_order():
