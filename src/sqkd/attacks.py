@@ -566,6 +566,7 @@ def random_symmetric_attack(q: float, rng: np.random.Generator, d_e: int = 2) ->
     cos, sin = math.cos(half_theta), math.sin(half_theta)
     c0, c1 = _haar_unitaries(d_e, rng, 2)
     # C (R (x) I) block by block: row block t of C is C_t, block (t, s) of R (x) I is R[t, s] I
-    u = np.block([[c0 * cos, c0 * -sin], [c1 * sin, c1 * cos]])
+    u = np.empty((2 * d_e, 2 * d_e), complex)
+    u[:d_e, :d_e], u[:d_e, d_e:], u[d_e:, :d_e], u[d_e:, d_e:] = c0 * cos, c0 * -sin, c1 * sin, c1 * cos
     amp = math.sqrt(1.0 - q)
     return RestrictedAttack(amp, amp, eta, -np.conj(eta), u, d_e)

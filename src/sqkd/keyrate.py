@@ -77,7 +77,7 @@ class QxModel:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {kinds}")
         elif value != 0.0:
             raise ValueError(f"model {self.kind!r} takes no value, got {value}")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", value + 0.0)  # -0.0 reads as 0.0
 
     def q_x(self, q: float) -> float:
         if self.kind == "explicit":

@@ -282,7 +282,7 @@ def _check_range(name: str, value: float, low: float, high: float) -> float:
     value = float(value)
     if not low - 1e-12 <= value <= high + 1e-12:
         raise ValueError(f"{name}={value} outside [{low}, {high}]")
-    return low if value < low else high if value > high else value
+    return low if value < low else high if value > high else value + 0.0  # -0.0 reads as 0.0
 
 
 def _check_integer(name: str, value: float, low: float = -math.inf, high: float = math.inf) -> int:

@@ -1,9 +1,9 @@
 """Randomized numerical verification of the reduction and bound claims.
 
-Each check draws seeded random instances, measures a residual that should
-be zero (for equalities) or the amount by which an inequality is violated
-(zero when it holds), and reports the maximum residual over all trials
-against a fixed tolerance.
+Each check draws seeded random instances, measures a residual that should be zero (for
+equalities) or the amount by which an inequality is violated, and reports the worst residual
+over all trials against a fixed tolerance. A residual and a worst residual are each the largest
+term and 0, or NaN if any term is NaN, whatever their order, so a NaN fails its check.
 
 RNG streams are derived per trial from (seed, suite, trial) through a
 counter-based generator, so any single trial can be reproduced in
@@ -129,16 +129,15 @@ class VerifyReport:
             raise ValueError("passed flag contradicts residual and tolerance")
 
 
+def _violation(*terms: float) -> float:
+    """The largest of ``terms`` and 0.0, or NaN if any is NaN, in any order (``max`` alone is not)."""
+    return math.nan if any(map(math.isnan, terms)) else float(max((0.0, *terms)))
+
+
 def _report(check: str, residuals: Sequence[float], tolerance: float) -> VerifyReport:
     """The report of ``check``: one trial per residual, the worst against ``tolerance``."""
-    worst = float(max(residuals, default=0.0))
+    worst = _violation(*residuals)
     return VerifyReport(check, len(residuals), worst, tolerance, worst <= tolerance)
-
-
-def _check_d_e_list(d_e_list: Sequence[int]) -> tuple[int, ...]:
-    if not d_e_list:
-        raise ValueError("ancilla dimension list is empty")
-    return tuple(_check_d_e(d, minimum=2) for d in d_e_list)
 
 
 def _attacks(suite: int, trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator:
@@ -163,7 +162,9 @@ def _attacks(suite: int, trials: int, seed: int, d_e_list: Sequence[int]) -> Ite
 # keep the unwrapped functions, so CI's traced smoke would count no calls to them and fail.
 def _per_trial(suite: int, trial_fn, trials: int, seed: int, d_e_list: Sequence[int]) -> list:
     """``trial_fn`` of every attack of ``suite``'s stream, after validating the arguments."""
-    d_e_list = _check_d_e_list(d_e_list)
+    if not d_e_list:
+        raise ValueError("ancilla dimension list is empty")
+    d_e_list = tuple(_check_d_e(d, minimum=2) for d in d_e_list)
     trials = _check_integer("trials", trials, 1)
     return [trial_fn(a) for a in _attacks(suite, trials, seed, d_e_list)]
 
@@ -176,24 +177,24 @@ def collective_reduction_residual(attack: CollectiveAttack) -> float:
     both operations in the entangled variant.
     """
     derived = derive_restricted_from_collective(attack)
-    return max(
+    return _violation(*(
         trace_distance(simulate(attack, *args), simulate(derived, *args))
         for op in (MEASURE_RESEND, REFLECT)
         for simulate, args in (
             *((simulate_sqkd, (state, op)) for state in alice_states()),
             (simulate_entangled_sqkd, (op,)),
         )
-    )
+    ))
 
 
 def restricted_reduction_residual(attack: RestrictedAttack) -> float:
     """Worst trace distance between the entangled protocol under a restricted
     attack and the B-prepares protocol under the derived one-shot isometry."""
     reduced = derive_reduced_attack(attack)
-    return max(
+    return _violation(*(
         trace_distance(simulate_entangled_sqkd(attack, op), simulate_reduced(reduced, op))
         for op in (MEASURE_RESEND, REFLECT)
-    )
+    ))
 
 
 def vector_pair_residual(v0: np.ndarray, v1: np.ndarray) -> float:
@@ -215,12 +216,11 @@ def vector_pair_residual(v0: np.ndarray, v1: np.ndarray) -> float:
     ip = complex(np.vdot(v0, v1))
     root = math.sqrt(max(0.0, n0 * n1 - ip.imag**2))
     lam_plus, lam_minus = ip.real + root, ip.real - root
-    return max(
+    return _violation(
         tn - 2.0 * math.sqrt(n0 * n1),  # bound violation (negative when satisfied)
         abs(w[-1] - lam_plus),
         abs(w[0] - lam_minus),
         abs(tn - (lam_plus - lam_minus)),
-        0.0,
     )
 
 
@@ -300,22 +300,21 @@ def uncertainty_residual(diag: SymmetricAttackDiagnostics) -> float:
     Checks S(A1^Z|E) + S(A1^X|A2) >= 1 and its observable consequence
     S(A1^Z|E) >= 1 - h(Q_X).
     """
-    return max(
+    return _violation(
         1.0 - (diag.s_reflect + diag.s_x_given_a2),
         reflect_entropy_bound(_folded(diag.q_x)) - diag.s_reflect,
-        0.0,
     )
 
 
 def continuity_residual(diag: SymmetricAttackDiagnostics) -> float:
     """Violation of the entropy continuity bound on the (reflect, aux) pair."""
     gap = abs(diag.s_reflect - diag.s_aux)
-    return max(0.0, gap - continuity_bound(diag.td_reflect_aux))
+    return _violation(gap - continuity_bound(diag.td_reflect_aux))
 
 
 def epsilon_residual(diag: SymmetricAttackDiagnostics) -> float:
     """Violation of the trace-distance bound td(reflect, aux) <= 4Q(1-Q)."""
-    return max(0.0, diag.td_reflect_aux - 4.0 * diag.q * (1.0 - diag.q))
+    return _violation(diag.td_reflect_aux - 4.0 * diag.q * (1.0 - diag.q))
 
 
 def main_bound_residual(diag: SymmetricAttackDiagnostics) -> float:
@@ -328,7 +327,7 @@ def main_bound_residual(diag: SymmetricAttackDiagnostics) -> float:
     f_value, _ = resend_entropy_bound(diag.s_reflect, diag.q)
     analytic = key_rate(diag.q, explicit(_folded(diag.q_x))).r
     true_rate = diag.s_resend - diag.h_key_given_b
-    return max(0.0, f_value - diag.s_resend, analytic - true_rate)
+    return _violation(f_value - diag.s_resend, analytic - true_rate)
 
 
 def check_thm1_equivalence(
@@ -377,7 +376,7 @@ def check_isometries(
     def residual(attack: CollectiveAttack | RestrictedAttack) -> float:
         if isinstance(attack, CollectiveAttack):
             attack = derive_restricted_from_collective(attack)
-        return max(
+        return _violation(
             _isometry_residual(forward_isometry(attack)),
             _isometry_residual(build_rewind(attack)),
             _isometry_residual(attack.u),

@@ -213,10 +213,33 @@ def test_usage_errors_exit_two(capsys):
         ["curve", "--q-min", "0.2", "--q-max", "0.1", "--steps", "3", "--qx-model", "equal"],
         ["verify", "--trials", "2", "--seed", "-1"],
         ["frobnicate"],
+        # non-finite values
+        ["rate", "--q", "nan", "--qx-model", "equal"],
+        ["curve", "--q-max", "inf", "--qx-model", "equal"],
+        ["threshold", "--qx-model", "explicit:nan"],
+        ["threshold", "--qx-model", "equal", "--tol", "nan"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--q", "{0}", "--qx-model", "equal"],
+        ["rate", "--q", "{0}", "--qx-model", "equal", "--format", "json"],
+        ["rate", "--q", "0.1", "--qx-model", "explicit:{0}"],
+        ["threshold", "--qx-model", "explicit:{0}"],
+        ["curve", "--q-min", "{0}", "--q-max", "0.1", "--steps", "3", "--qx-model", "half"],
+    ],
+)
+def test_signed_zero_input_reads_as_zero(capsys, argv):
+    # -0 passes the range gates; it must not print as -0
+    zero = run_cli(capsys, *(arg.format("0") for arg in argv))
+    assert zero[0] == 0
+    assert run_cli(capsys, *(arg.format("-0") for arg in argv)) == zero
+    assert run_cli(capsys, *(arg.format("-0.0") for arg in argv)) == zero
 
 
 def test_sizes_beyond_float_range_exit_two(capsys):

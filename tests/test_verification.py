@@ -1,5 +1,8 @@
 """Tests for the randomized verification suites and their report type."""
+import dataclasses
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from sqkd.attacks import (
     random_symmetric_attack,
     simulate_reduced,
 )
+from sqkd.cli import main
 from sqkd.keyrate import (
     FLOOR_BRANCH,
     MAIN_BRANCH,
@@ -50,6 +54,9 @@ from sqkd.verification import (
     check_lemma_trd,
     check_thm1_equivalence,
     check_thm2_equivalence,
+    continuity_residual,
+    epsilon_residual,
+    main_bound_residual,
     run_all_checks,
     symmetric_attack_diagnostics,
     symmetric_diagnostics_sample,
@@ -145,6 +152,69 @@ def test_verify_report_consistency_gate():
     assert report.passed
     with pytest.raises(ValueError):
         VerifyReport("demo", 5, 1e-6, 1e-9, True)  # claims pass above tolerance
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [((2e-15, -0.3, 1e-15), 2e-15), ((-0.3, -0.0, -1e-15), 0.0), ((1e-15, -0.3, math.nan), math.nan)],
+)
+def test_violation_is_the_largest_term_and_zero_or_nan_in_any_order(terms, expected):
+    for order in itertools.permutations(terms):
+        value = verification._violation(*order)
+        assert value == expected or (math.isnan(value) and math.isnan(expected)), order
+        assert math.copysign(1.0, value) == 1.0 and type(value) is float, order
+
+
+def test_nan_worst_residual_fails_its_report():
+    # max([1e-15, nan]) is 1e-15: the NaN trial would read as a pass
+    for residuals in ([1e-15, math.nan], [math.nan, 1e-15]):
+        report = verification._report("demo", residuals, 1e-9)
+        assert math.isnan(report.max_residual) and report.passed is False
+        assert report.trials == 2
+
+
+@pytest.fixture(scope="module")
+def diagnostics():
+    return symmetric_attack_diagnostics(random_symmetric_attack(0.05, trial_rng(1, 4, 0), 3))
+
+
+@pytest.mark.parametrize(
+    "residual_fn, field",
+    [
+        (uncertainty_residual, "s_x_given_a2"),
+        (continuity_residual, "s_aux"),
+        (epsilon_residual, "td_reflect_aux"),
+        (main_bound_residual, "s_resend"),
+        (main_bound_residual, "h_key_given_b"),
+    ],
+)
+def test_nan_diagnostic_gives_nan_residual(diagnostics, residual_fn, field):
+    assert residual_fn(diagnostics) <= 1e-12
+    assert math.isnan(residual_fn(dataclasses.replace(diagnostics, **{field: math.nan})))
+
+
+def _poison_second_symmetric_trial(monkeypatch):
+    # trial 1, not trial 0, so a worst-of-trials that starts from the first trial is tested too
+    original = verification.symmetric_attack_diagnostics
+    calls = itertools.count()
+
+    def poisoned(attack):
+        diag = original(attack)
+        return dataclasses.replace(diag, s_aux=math.nan) if next(calls) == 1 else diag
+
+    monkeypatch.setattr(verification, "symmetric_attack_diagnostics", poisoned)
+
+
+def test_nan_trial_fails_end_to_end(monkeypatch, capsys):
+    _poison_second_symmetric_trial(monkeypatch)
+    reports = {report.check: report for report in run_all_checks(2, seed=33)}
+    assert reports["continuity"].passed is False
+    assert math.isnan(reports["continuity"].max_residual)
+    assert all(r.passed for name, r in reports.items() if name != "continuity")
+    for fmt, cell in (("csv", "continuity,8,nan,1e-09,false"), ("json", '"max_residual": NaN')):
+        _poison_second_symmetric_trial(monkeypatch)
+        assert main(["verify", "--trials", "2", "--seed", "33", "--format", fmt]) == 1
+        assert cell in capsys.readouterr().out
 
 
 def test_vector_pair_residual_hand_case():
