@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -96,7 +97,20 @@ def _render(rows: Sequence[dict], fmt: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0])
-    writer.writerows([_cell(value) for value in row.values()] for row in rows)
+    # rows that share one tuple of cell types are one % operation (%.12g is _cell's float
+    # rule); csv.writer writes any other table, one of a single column (csv quotes a lone
+    # empty cell) and one whose text csv would quote
+    width = len(rows[0])
+    cells = tuple(itertools.chain.from_iterable(map(dict.values, rows)))
+    kinds = set(zip(*[map(type, cells)] * width)) if set(map(len, rows)) == {width} else set()
+    specs = {float: "%.12g", int: "%d", str: "%s"}
+    parts = [specs.get(kind) for kind in kinds.pop()] if len(kinds) == 1 and width > 1 else [None]
+    text = "" if None in parts else ((",".join(parts) + "\n") * len(rows)) % cells
+    # a comma or line break inside a cell raises the count above the number of cells
+    if text and text.count(",") + text.count("\n") == len(cells) and '"' not in text and "\r" not in text:
+        buf.write(text)
+    else:
+        writer.writerows([_cell(value) for value in row.values()] for row in rows)
     return buf.getvalue()
 
 

@@ -13,10 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqkd
-from sqkd.cli import _cell, build_parser, main
-from sqkd.keyrate import DEPOLARIZING, EQUAL, key_rate, noise_threshold
+from csv_reference import render_csv
+from sqkd.cli import _cell, _render, build_parser, main
+from sqkd.keyrate import DEPOLARIZING, EQUAL, HALF, key_rate, keyrate_curve, noise_threshold
 from sqkd.verification import CHECK_NAMES
 
 REPORT_HEADER = "Q,Q_X,epsilon,delta,s_tau_bound,branch,g,r"
@@ -143,6 +146,45 @@ def test_keyrate_outputs_match_recorded_digests(capsys):
 def test_csv_cells(value, text):
     # str as it is, bool in lower case, int in full, any float at 12 significant digits
     assert _cell(value) == text
+
+
+FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, 1.23e14]),
+)
+KINDS = (
+    FLOAT_CELLS,
+    FLOAT_CELLS.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.text(alphabet=st.sampled_from(',"\n\r a1.'), max_size=4),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def tables(draw):
+    # half the tables keep one cell type per column, as every command's rows do; the
+    # others draw any cell anywhere, so types and row lengths change between rows
+    if draw(st.booleans()):
+        columns = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+        row = st.tuples(*columns)
+    else:
+        row = st.lists(st.one_of(KINDS), min_size=1, max_size=4)
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+@settings(deadline=None, max_examples=400)
+@given(tables())
+def test_csv_render_matches_csv_writer(table):
+    rows = [{f"c{i}": value for i, value in enumerate(cells)} for cells in table]
+    assert _render(rows, "csv") == render_csv(rows)
+
+
+@pytest.mark.parametrize("model", [EQUAL, DEPOLARIZING, HALF], ids=str)
+def test_csv_render_of_a_full_curve_matches_csv_writer(model):
+    rows = [report.as_dict() for report in keyrate_curve(0.0, 0.5, 501, model)]
+    assert _render(rows, "csv") == render_csv(rows)
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

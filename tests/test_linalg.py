@@ -558,15 +558,15 @@ def test_stacked_haar_draws_match_sequential_draws_bitwise():
 
 
 def test_haar_random_unitary_entry_statistics():
-    # every |entry|^2 has mean 1/dim under the Haar measure
-    dim = 3
-    rng = np.random.default_rng(8)
-    total = np.zeros((dim, dim))
+    # under the Haar measure every |entry|^2 has mean 1/dim and |tr U|^2 has mean 1;
+    # without the phase fix of R's diagonal E|tr U|^2 reads 1.36 (dim 2) to 2.65 (dim 8)
     samples = 4000
-    for _ in range(samples):
-        total += np.abs(haar_random_unitary(dim, rng)) ** 2
-    mean = total / samples
-    assert np.max(np.abs(mean - 1.0 / dim)) < 0.05 / dim
+    for dim in (3, 8):
+        rng = np.random.default_rng(8)
+        draws = [haar_random_unitary(dim, rng) for _ in range(samples)]
+        mean = sum(np.abs(u) ** 2 for u in draws) / samples
+        assert np.max(np.abs(mean - 1.0 / dim)) < 0.05 / dim
+        assert abs(np.mean([abs(np.trace(u)) ** 2 for u in draws]) - 1.0) < 0.1
 
 
 def test_complete_isometry_preserves_inputs():
