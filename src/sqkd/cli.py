@@ -7,11 +7,11 @@ Four subcommands:
 * ``curve`` exports the full report grid over an error range,
 * ``verify`` runs the randomized numerical verification suites.
 
-Each command produces a list of rows, rendered as CSV (reals at 12
-significant digits) or JSON (full precision; one row is an object, several
-a list) on stdout or to ``--output``. With a fixed seed every command is
-byte-deterministic. Exit codes: 0 success, 1 failed check or runtime
-error, 2 usage error.
+Each command produces a table, a header of column names plus one tuple per
+row, rendered as CSV (reals at 12 significant digits) or JSON (full
+precision; one row is an object, several a list) on stdout or to
+``--output``. With a fixed seed every command is byte-deterministic. Exit
+codes: 0 success, 1 failed check or runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ import json
 import sys
 from typing import Sequence
 
-from .keyrate import QxModel, ThresholdAtBoundary, key_rate, keyrate_curve, noise_threshold
-from .verification import DEFAULT_D_E, run_all_checks
+from .keyrate import KeyRateReport, QxModel, ThresholdAtBoundary, key_rate, keyrate_curve, noise_threshold
+from .verification import DEFAULT_D_E, VerifyReport, run_all_checks
 
 __all__ = ["main", "build_parser"]
 
@@ -90,18 +90,19 @@ def _cell(value) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _render(rows: Sequence[dict], fmt: str) -> str:
-    """CSV with the first row's keys as header, or JSON: an object for one row, else a list."""
+def _render(columns: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """CSV under the header ``columns``, or JSON: an object for one row, else a list."""
     if fmt == "json":
-        return json.dumps(rows[0] if len(rows) == 1 else rows, indent=2) + "\n"
+        dicts = [dict(zip(columns, row)) for row in rows]
+        return json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
+    writer.writerow(columns)
     # rows that share one tuple of cell types are one % operation (%.12g is _cell's float
     # rule); csv.writer writes any other table, one of a single column (csv quotes a lone
     # empty cell) and one whose text csv would quote
-    width = len(rows[0])
-    cells = tuple(itertools.chain.from_iterable(map(dict.values, rows)))
+    width = len(columns)
+    cells = tuple(itertools.chain.from_iterable(rows))
     kinds = set(zip(*[map(type, cells)] * width)) if set(map(len, rows)) == {width} else set()
     specs = {float: "%.12g", int: "%d", str: "%s"}
     parts = [specs.get(kind) for kind in kinds.pop()] if len(kinds) == 1 and width > 1 else [None]
@@ -110,7 +111,7 @@ def _render(rows: Sequence[dict], fmt: str) -> str:
     if text and text.count(",") + text.count("\n") == len(cells) and '"' not in text and "\r" not in text:
         buf.write(text)
     else:
-        writer.writerows([_cell(value) for value in row.values()] for row in rows)
+        writer.writerows([_cell(value) for value in row] for row in rows)
     return buf.getvalue()
 
 
@@ -122,20 +123,19 @@ def _parse_d_e(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse ancilla dimension list {text!r}") from None
 
 
-def _rows(args: argparse.Namespace) -> tuple[list[dict], bool]:
-    """The command's output rows and whether all checks passed."""
+def _rows(args: argparse.Namespace) -> tuple[Sequence[str], list[tuple], bool]:
+    """The command's column names, its output rows and whether all checks passed."""
     if args.command == "verify":
         reports = run_all_checks(args.trials, args.seed, _parse_d_e(args.d_e))
-        return [dataclasses.asdict(r) for r in reports], all(r.passed for r in reports)
+        columns = [field.name for field in dataclasses.fields(VerifyReport)]
+        return columns, [dataclasses.astuple(r) for r in reports], all(r.passed for r in reports)
     model = QxModel.parse(args.qx_model)
     if args.command == "threshold":
         value = noise_threshold(model, tol=args.tol)
-        return [{"model": str(model), "threshold": value, "threshold_percent": 100.0 * value}], True
+        return ("model", "threshold", "threshold_percent"), [(str(model), value, 100.0 * value)], True
     if args.command == "rate":
-        reports = [key_rate(args.q, model)]
-    else:
-        reports = keyrate_curve(args.q_min, args.q_max, args.steps, model)
-    return [r.as_dict() for r in reports], True
+        return KeyRateReport.COLUMNS, [key_rate(args.q, model)], True
+    return KeyRateReport.COLUMNS, keyrate_curve(args.q_min, args.q_max, args.steps, model), True
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -152,8 +152,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        rows, ok = _rows(args)
-        _emit(_render(rows, args.format), args.output)
+        columns, rows, ok = _rows(args)
+        _emit(_render(columns, rows, args.format), args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

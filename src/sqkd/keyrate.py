@@ -19,6 +19,7 @@ simulations live in :mod:`sqkd.attacks`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,42 +117,33 @@ def explicit(value: float) -> QxModel:
     return QxModel("explicit", value)
 
 
-@dataclass(frozen=True)
-class KeyRateReport:
-    """All intermediate quantities of one key-rate evaluation.
+class KeyRateReport(namedtuple("KeyRateReport", "q q_x epsilon delta s_tau_bound branch g r")):
+    """All intermediate quantities of one key-rate evaluation, as an immutable named tuple.
 
     ``epsilon`` is the trace-distance bound 4Q(1-Q), ``delta`` the
     continuity penalty, ``s_tau_bound`` the uncertainty-relation bound
     1 - h(Q_X), ``branch`` which arm of the resend bound applied, ``g``
     the resulting bound on the eavesdropper's ignorance on key rounds,
-    and ``r = g - h(Q)`` the key rate.
+    and ``r = g - h(Q)`` the key rate. ``COLUMNS`` names the fields in the
+    CSV schema, in field order.
     """
 
-    q: float
-    q_x: float
-    epsilon: float
-    delta: float
-    s_tau_bound: float
-    branch: str
-    g: float
-    r: float
+    __slots__ = ()
+    COLUMNS = ("Q", "Q_X", "epsilon", "delta", "s_tau_bound", "branch", "g", "r")
 
-    def __post_init__(self) -> None:
-        if self.branch not in (MAIN_BRANCH, FLOOR_BRANCH):
-            raise ValueError(f"unknown branch {self.branch!r}")
+    def __new__(cls, q: float, q_x: float, epsilon: float, delta: float, s_tau_bound: float,
+                branch: str, g: float, r: float) -> KeyRateReport:
+        if branch not in (MAIN_BRANCH, FLOOR_BRANCH):
+            raise ValueError(f"unknown branch {branch!r}")
+        return tuple.__new__(cls, (q, q_x, epsilon, delta, s_tau_bound, branch, g, r))
+
+    @classmethod
+    def _make(cls, fields) -> KeyRateReport:  # what _replace builds through: checked too
+        return cls(*fields)
 
     def as_dict(self) -> dict[str, float | str]:
         """Field mapping with the exact column names of the CSV schema."""
-        return {
-            "Q": self.q,
-            "Q_X": self.q_x,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "s_tau_bound": self.s_tau_bound,
-            "branch": self.branch,
-            "g": self.g,
-            "r": self.r,
-        }
+        return dict(zip(self.COLUMNS, self))
 
 
 class ThresholdAtBoundary(RuntimeError):

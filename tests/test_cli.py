@@ -4,6 +4,7 @@ Everything except the two entry-point smoke tests drives ``main(argv)`` in
 process for speed. The smoke tests run a child interpreter on the same
 ``sqkd`` package the suite imported, so neither needs an installed package.
 """
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import sqkd
 from csv_reference import render_csv
 from sqkd.cli import _cell, _render, build_parser, main
-from sqkd.keyrate import DEPOLARIZING, EQUAL, HALF, key_rate, keyrate_curve, noise_threshold
-from sqkd.verification import CHECK_NAMES
+from sqkd.keyrate import (
+    DEPOLARIZING, EQUAL, HALF, KeyRateReport, key_rate, keyrate_curve, noise_threshold,
+)
+from sqkd.verification import CHECK_NAMES, run_all_checks
 
 REPORT_HEADER = "Q,Q_X,epsilon,delta,s_tau_bound,branch,g,r"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -177,14 +180,44 @@ def tables(draw):
 @settings(deadline=None, max_examples=400)
 @given(tables())
 def test_csv_render_matches_csv_writer(table):
-    rows = [{f"c{i}": value for i, value in enumerate(cells)} for cells in table]
-    assert _render(rows, "csv") == render_csv(rows)
+    # the reference reads its header off the first row's keys
+    columns = [f"c{i}" for i in range(len(table[0]))]
+    dicts = [{f"c{i}": value for i, value in enumerate(cells)} for cells in table]
+    assert _render(columns, [tuple(cells) for cells in table], "csv") == render_csv(dicts)
 
 
 @pytest.mark.parametrize("model", [EQUAL, DEPOLARIZING, HALF], ids=str)
 def test_csv_render_of_a_full_curve_matches_csv_writer(model):
-    rows = [report.as_dict() for report in keyrate_curve(0.0, 0.5, 501, model)]
-    assert _render(rows, "csv") == render_csv(rows)
+    reports = keyrate_curve(0.0, 0.5, 501, model)
+    assert _render(KeyRateReport.COLUMNS, reports, "csv") == render_csv([r.as_dict() for r in reports])
+
+
+# each command's rows as dicts, built from the library without the CLI's tables
+DICT_TABLES = {
+    "verify --trials 2 --seed 7": lambda: [dataclasses.asdict(r) for r in run_all_checks(2, 7)],
+    "threshold --qx-model half": lambda: [
+        {"model": "half", "threshold": (t := noise_threshold(HALF)), "threshold_percent": 100.0 * t}
+    ],
+    "rate --q 0.03 --qx-model depolarizing": lambda: [key_rate(0.03, DEPOLARIZING).as_dict()],
+    "curve --q-min 0 --q-max 0.5 --steps 51 --qx-model equal": lambda: [
+        r.as_dict() for r in keyrate_curve(0.0, 0.5, 51, EQUAL)
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", DICT_TABLES)
+def test_output_matches_the_dict_reference(capsys, command, fmt):
+    # verify's bool cells send its CSV through csv.writer, the other tables through one % format
+    dicts = DICT_TABLES[command]()
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        assert out == render_csv(dicts)
+    else:
+        # one row is an object (threshold, rate), several a list (verify, curve)
+        assert out == json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2) + "\n"
+        assert isinstance(json.loads(out), dict) == command.startswith(("threshold", "rate"))
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

@@ -214,6 +214,8 @@ def test_report_fields_match_the_public_bounds_bitwise():
     for model in (EQUAL, DEPOLARIZING, HALF, explicit(0.3)):
         for q in SCAN_GRID:
             report = key_rate(q, model)
+            # repr is exact for floats and tells -0.0 from 0.0
+            assert repr(report) == repr(KeyRateReport(*sqkd.keyrate._point(q, model)))
             assert report.delta == continuity_penalty(q)
             assert (report.g, report.branch) == resend_entropy_bound(report.s_tau_bound, q)
             assert report.s_tau_bound == reflect_entropy_bound(report.q_x)
@@ -221,7 +223,15 @@ def test_report_fields_match_the_public_bounds_bitwise():
 
 def test_noise_threshold_builds_no_report(monkeypatch):
     built = []
-    monkeypatch.setattr(KeyRateReport, "__post_init__", lambda self: built.append(self.q))
+
+    class CountedReport(KeyRateReport):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields[0])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(sqkd.keyrate, "KeyRateReport", CountedReport)
     assert abs(noise_threshold(EQUAL) - EQUAL_THRESHOLD) < 5e-6
     assert built == []
     key_rate(0.03, EQUAL)
@@ -297,10 +307,28 @@ def test_threshold_at_the_boundary_matches_the_grid_scan(monkeypatch):
 
 
 def test_report_as_dict_schema():
-    row = key_rate(0.03, EQUAL).as_dict()
+    report = key_rate(0.03, EQUAL)
+    row = report.as_dict()
     assert list(row) == ["Q", "Q_X", "epsilon", "delta", "s_tau_bound", "branch", "g", "r"]
+    assert tuple(row) == KeyRateReport.COLUMNS
+    assert tuple(row.values()) == report
     assert row["branch"] == MAIN_BRANCH
     assert isinstance(row["Q"], float)
+
+
+def test_report_is_an_immutable_checked_named_tuple():
+    report = key_rate(0.03, EQUAL)
+    with pytest.raises(ValueError, match="unknown branch 'side'"):
+        KeyRateReport(*report[:5], "side", *report[6:])
+    with pytest.raises(ValueError, match="unknown branch 'side'"):
+        report._replace(branch="side")
+    for name in ("r", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0.0)
+    assert repr(report) == (
+        "KeyRateReport(q=0.03, q_x=0.03, epsilon=0.11639999999999999, delta=0.32745743480869194, "
+        "s_tau_bound=0.8056081421684238, branch='main', g=0.47815070735973186, r=0.28375884952815567)"
+    )
 
 
 def test_noise_threshold_frozen_values():
@@ -341,6 +369,23 @@ class _OscillatingModel(QxModel):
 def test_noise_threshold_rejects_non_monotone_rate():
     with pytest.raises(ValueError):
         noise_threshold(_OscillatingModel("equal"))
+
+
+class _OutOfRangeModel(QxModel):
+    """A model whose X error rate leaves [0, 1/2]."""
+
+    def q_x(self, q):
+        return 0.7
+
+
+def test_key_rate_refuses_q_x_outside_its_range():
+    # the range gate on Q_X in _point is the only one a QxModel subclass meets in key_rate
+    for call in (
+        lambda: key_rate(0.03, _OutOfRangeModel("equal")),
+        lambda: keyrate_curve(0.0, 0.1, 3, _OutOfRangeModel("equal")),
+    ):
+        with pytest.raises(ValueError, match=r"Q_X=0\.7 outside"):
+            call()
 
 
 def test_model_name_is_not_a_model():
