@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ from .linalg import (
     _check_range,
     _haar_unitaries,
     _isometry_residual,
+    _number,
     _pure_marginal,
     basis_state,
     complete_isometry,
@@ -152,7 +154,7 @@ class RestrictedAttack:
         for name in ("q0", "q1"):
             object.__setattr__(self, name, _check_range(name, getattr(self, name), 0.0, 1.0))
         for name in ("eta0", "eta1"):
-            value = complex(getattr(self, name))
+            value = _number(name, getattr(self, name), complex, "a number")
             _check_range(f"|{name}|", abs(value), 0.0, 1.0)
             object.__setattr__(self, name, value)
         residual = abs(
@@ -192,17 +194,17 @@ class ReducedAttack:
         return self.v.shape[0] // 4
 
 
-@dataclass(frozen=True)
-class NoiseStats:
-    """Observable error rates: forward Z, reverse Z, and X on reflect rounds."""
+class NoiseStats(namedtuple("NoiseStats", "q_fwd q_rev q_x")):
+    """Observable error rates: forward Z, reverse Z, and X on reflect rounds, each in [0, 1]."""
 
-    q_fwd: float
-    q_rev: float
-    q_x: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("q_fwd", "q_rev", "q_x"):
-            object.__setattr__(self, name, _check_range(name, getattr(self, name), 0.0, 1.0))
+    def __new__(cls, q_fwd: float, q_rev: float, q_x: float) -> NoiseStats:
+        return tuple.__new__(cls, map(_check_range, cls._fields, (q_fwd, q_rev, q_x), (0.0,) * 3, (1.0,) * 3))
+
+    @classmethod
+    def _make(cls, fields) -> NoiseStats:  # what _replace builds through: checked too
+        return cls(*fields)
 
 
 def alice_states() -> list[np.ndarray]:
@@ -557,7 +559,7 @@ def random_symmetric_attack(q: float, rng: np.random.Generator, d_e: int = 2) ->
     never changes the Z statistics, so the reverse error rate is exactly q
     while the ancilla correlation stays arbitrary.
     """
-    q = float(q)
+    q = _number("q", q)
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"error rate {q} outside [0, 0.5]")
     d_e = _check_d_e(d_e, minimum=2)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -127,8 +126,7 @@ def _rows(args: argparse.Namespace) -> tuple[Sequence[str], list[tuple], bool]:
     """The command's column names, its output rows and whether all checks passed."""
     if args.command == "verify":
         reports = run_all_checks(args.trials, args.seed, _parse_d_e(args.d_e))
-        columns = [field.name for field in dataclasses.fields(VerifyReport)]
-        return columns, [dataclasses.astuple(r) for r in reports], all(r.passed for r in reports)
+        return VerifyReport._fields, reports, all(r.passed for r in reports)
     model = QxModel.parse(args.qx_model)
     if args.command == "threshold":
         value = noise_threshold(model, tol=args.tol)

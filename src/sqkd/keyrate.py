@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_integer, _check_range, binary_entropy
+from .linalg import _check_integer, _check_range, _number, binary_entropy
 
 __all__ = [
     "MAIN_BRANCH",
@@ -69,7 +69,7 @@ class QxModel:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        value = float(self.value)
+        value = _number("value", self.value)
         if self.kind == "explicit":
             if not 0.0 <= value <= 0.5:
                 raise ValueError(f"explicit X error rate {value} outside [0, 0.5]")
@@ -250,7 +250,7 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
     does; ``_resend_bound`` is max(s_tau - delta, s_tau/2), two nonincreasing
     terms; and h(Q) rises.
     """
-    if not tol > 0.0:
+    if not _number("tol", tol) > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if type(model) is not QxModel:
         raise ValueError(f"need a plain QxModel, whose rate is monotone; got {type(model).__name__}")

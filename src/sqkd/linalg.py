@@ -273,28 +273,37 @@ def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
     return math.sqrt(float(np.vdot(aligned, aligned).real) * (1.0 + abs(c)) / 2.0)
 
 
-def _check_range(name: str, value: float, low: float, high: float) -> float:
-    """``value`` as a float clamped to [low, high].
+def _number(name: str, value, kind: type = float, what: str = "a real number"):
+    """``kind(value)``, ``kind`` float or complex. Text (both would parse it), a complex value where
+    a float is due (numpy's complex128 would lose its imaginary part), None, any value ``kind``
+    refuses and one beyond float range raise ValueError naming the input."""
+    try:
+        text = isinstance(value, (str, bytes, bytearray, memoryview))  # float() parses each
+        if text or kind is float and isinstance(value, complex):
+            raise TypeError
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} is not {what}") from None
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
 
-    Values within 1e-12 outside the range (simulation roundoff) are
-    clamped; anything further out, or NaN, raises ValueError.
-    """
-    value = float(value)
+
+def _check_range(name: str, value: float, low: float, high: float) -> float:
+    """``value`` as a float clamped to [low, high]: values within 1e-12 outside the range
+    (simulation roundoff) are clamped; anything further out, NaN, or what :func:`_number`
+    refuses raises ValueError."""
+    if type(value) is not float:  # the key-rate points pass floats, 7 per point
+        value = _number(name, value)
     if not low - 1e-12 <= value <= high + 1e-12:
         raise ValueError(f"{name}={value} outside [{low}, {high}]")
     return low if value < low else high if value > high else value + 0.0  # -0.0 reads as 0.0
 
 
 def _check_integer(name: str, value: float, low: float = -math.inf, high: float = math.inf) -> int:
-    """``value`` as an int in [low, high]; text, a fractional, infinite, NaN or beyond-float
-    value, or one outside the bounds raises ValueError."""
-    if isinstance(value, (str, bytes, bytearray, memoryview)):  # float("3") would parse it
-        raise ValueError(f"{name}={value!r} is not an integer")
-    try:
-        if not float(value).is_integer():
-            raise ValueError(f"{name}={value} is not an integer")
-    except OverflowError:
-        raise ValueError(f"{name} is beyond float range") from None
+    """``value`` as an int in [low, high]; what :func:`_number` refuses, a fractional,
+    infinite or NaN value, or one outside the bounds raises ValueError."""
+    if not _number(name, value, what="an integer").is_integer():
+        raise ValueError(f"{name}={value} is not an integer")
     if low <= (value := int(value)) <= high:
         return value
     raise ValueError(f"{name} {value} outside [{low}, {high}]")

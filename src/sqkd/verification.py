@@ -12,7 +12,7 @@ isolation and concurrency or trial order can never change results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -114,19 +114,19 @@ def trial_rng(seed: int, suite: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=key)))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of one check: worst residual over all trials vs tolerance."""
+class VerifyReport(namedtuple("VerifyReport", "check trials max_residual tolerance passed")):
+    """Outcome of one check: worst residual over all trials vs tolerance, one ``verify`` row."""
 
-    check: str
-    trials: int
-    max_residual: float
-    tolerance: float
-    passed: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.max_residual <= self.tolerance):
+    def __new__(cls, check: str, trials: int, max_residual: float, tolerance: float, passed: bool):
+        if passed != (max_residual <= tolerance):
             raise ValueError("passed flag contradicts residual and tolerance")
+        return tuple.__new__(cls, (check, trials, max_residual, tolerance, passed))
+
+    @classmethod
+    def _make(cls, fields) -> VerifyReport:  # what _replace builds through: checked too
+        return cls(*fields)
 
 
 def _violation(*terms: float) -> float:
@@ -164,6 +164,8 @@ def _per_trial(suite: int, trial_fn, trials: int, seed: int, d_e_list: Sequence[
     """``trial_fn`` of every attack of ``suite``'s stream, after validating the arguments."""
     if not d_e_list:
         raise ValueError("ancilla dimension list is empty")
+    if not hasattr(d_e_list, "__iter__"):
+        raise ValueError(f"ancilla dimension list {d_e_list!r} is not a sequence")
     d_e_list = tuple(_check_d_e(d, minimum=2) for d in d_e_list)
     trials = _check_integer("trials", trials, 1)
     return [trial_fn(a) for a in _attacks(suite, trials, seed, d_e_list)]
@@ -224,8 +226,9 @@ def vector_pair_residual(v0: np.ndarray, v1: np.ndarray) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SymmetricAttackDiagnostics:
+class SymmetricAttackDiagnostics(namedtuple(
+    "SymmetricAttackDiagnostics", "q d_e q_x s_reflect s_resend s_aux s_x_given_a2 td_reflect_aux h_key_given_b"
+)):
     """Exact entropic quantities of one symmetric attack.
 
     All entropies are conditional von Neumann entropies in bits, computed
@@ -235,15 +238,7 @@ class SymmetricAttackDiagnostics:
     ``h_key_given_b`` is the Shannon entropy H(A1^Z|B^Z) on key rounds.
     """
 
-    q: float
-    d_e: int
-    q_x: float
-    s_reflect: float
-    s_resend: float
-    s_aux: float
-    s_x_given_a2: float
-    td_reflect_aux: float
-    h_key_given_b: float
+    __slots__ = ()
 
 
 def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDiagnostics:
@@ -260,6 +255,7 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     lam = np.linalg.eigvalsh(np.concatenate(stack))
     h = _entropy_bits(lam)
     s_reflect, s_resend, s_aux = map(float, h[:6].reshape(3, 2).sum(axis=1) - h[6:9])
+    td_reflect_aux = 0.5 * float(np.sum(np.abs(lam[9:])))
 
     pinched_x = measure_register(_round_state(reduced, REFLECT, ("A1", "A2")), "A1", "X")
     s_x_given_a2 = conditional_entropy(pinched_x, {"A1"}, {"A2"})
@@ -270,15 +266,7 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     h_key_given_b = float(sum(p_b[b] * binary_entropy(p_a1_b[1, b] / p_b[b]) for b in (0, 1) if p_b[b] > 0))
 
     return SymmetricAttackDiagnostics(
-        q=stats.q_fwd,
-        d_e=d_e,
-        q_x=stats.q_x,
-        s_reflect=s_reflect,
-        s_resend=s_resend,
-        s_aux=s_aux,
-        s_x_given_a2=s_x_given_a2,
-        td_reflect_aux=0.5 * float(np.sum(np.abs(lam[9:]))),
-        h_key_given_b=h_key_given_b,
+        stats.q_fwd, d_e, stats.q_x, s_reflect, s_resend, s_aux, s_x_given_a2, td_reflect_aux, h_key_given_b
     )
 
 

@@ -2,7 +2,6 @@
 tolerance and private helper has a reader, and README's API session runs as printed."""
 import ast
 import contextlib
-import dataclasses
 import importlib
 import io
 import re
@@ -12,12 +11,12 @@ import numpy as np
 import pytest
 
 import sqkd
-from sqkd.attacks import random_collective_attack
+from sqkd.attacks import NoiseStats, ReducedAttack, RestrictedAttack, random_collective_attack, random_symmetric_attack
 from sqkd.cli import main
-from sqkd.keyrate import EQUAL, keyrate_curve
-from sqkd.linalg import basis_state, haar_random_unitary, layout
-from sqkd.tolerances import Tolerances
-from sqkd.verification import check_lemma_trd, run_all_checks
+from sqkd.keyrate import EQUAL, KeyRateReport, explicit, key_rate, keyrate_curve, noise_threshold
+from sqkd.linalg import basis_state, binary_entropy, haar_random_unitary, layout
+from sqkd.tolerances import DEFAULT, Tolerances
+from sqkd.verification import SymmetricAttackDiagnostics, VerifyReport, check_lemma_trd, run_all_checks, trial_rng
 
 
 def test_public_names_resolve():
@@ -66,24 +65,118 @@ def test_non_integral_sizes_are_rejected(size_of):
 
 
 def test_text_is_not_a_size():
-    # float("3") parses, so text would pass as a number if it were not refused first
+    # float("3") parses, so text would pass as a number if it were not refused first;
+    # float(None) and float(3+0j) raise TypeError, which is not a usage error
     calls = [
         lambda: check_lemma_trd("3", 1),
         lambda: basis_state("2", 0),
         lambda: run_all_checks(1, 1, "23"),
         lambda: run_all_checks(1, "1"),
         lambda: keyrate_curve(0, 0.1, "5", EQUAL),
+        lambda: basis_state(2, None),
+        lambda: basis_state(2, 1 + 0j),
+        lambda: trial_rng(None, 1, 1),
+        lambda: keyrate_curve(0, 0.1, None, EQUAL),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="is not an integer"):
             call()
 
 
+IDENTITY = np.eye(4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: key_rate("0.03", EQUAL), "Q='0.03' is not a real number"),
+        (lambda: key_rate(0.03 + 0j, EQUAL), "Q=(0.03+0j) is not a real number"),
+        (lambda: key_rate(np.complex128(0.03), EQUAL), f"Q={np.complex128(0.03)!r} is not a real number"),
+        (lambda: binary_entropy(b"0.5"), "binary_entropy argument=b'0.5' is not a real number"),
+        (lambda: binary_entropy(None), "binary_entropy argument=None is not a real number"),
+        (lambda: keyrate_curve("0", "0.1", 3, EQUAL), "q_min='0' is not a real number"),
+        (lambda: RestrictedAttack("1", "1", "0.1", 0, IDENTITY, 2), "q0='1' is not a real number"),
+        (lambda: RestrictedAttack(1, 1, "0.1", 0, IDENTITY, 2), "eta0='0.1' is not a number"),
+        (lambda: RestrictedAttack(1, 1, None, 0, IDENTITY, 2), "eta0=None is not a number"),
+        (lambda: ReducedAttack("0.5", np.eye(8)[:, :2]), "p0='0.5' is not a real number"),
+        (lambda: explicit("0.1"), "value='0.1' is not a real number"),
+        (lambda: random_symmetric_attack("0.1", np.random.default_rng(0)), "q='0.1' is not a real number"),
+        (lambda: noise_threshold(EQUAL, tol="1e-6"), "tol='1e-6' is not a real number"),
+        (lambda: noise_threshold(EQUAL, tol=None), "tol=None is not a real number"),
+        (lambda: run_all_checks(1, 1, 2), "ancilla dimension list 2 is not a sequence"),
+    ],
+)
+def test_text_none_and_complex_are_not_real_inputs(call, message):
+    # float("0.5") and complex("0.1") parse text; float(None), float(0.03+0j) and complex(None)
+    # raise TypeError, and float(np.complex128(0.03)) would drop the imaginary part
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+RECORDS = {
+    "VerifyReport": (
+        VerifyReport("demo", 5, 1e-12, 1e-9, True),
+        "VerifyReport(check='demo', trials=5, max_residual=1e-12, tolerance=1e-09, passed=True)",
+    ),
+    "NoiseStats": (NoiseStats(0.1, 0.2, 0.3), "NoiseStats(q_fwd=0.1, q_rev=0.2, q_x=0.3)"),
+    "SymmetricAttackDiagnostics": (
+        SymmetricAttackDiagnostics(0.0, 2, 0.5, 1.0, 0.75, 0.5, 0.0, 0.25, 0.125),
+        "SymmetricAttackDiagnostics(q=0.0, d_e=2, q_x=0.5, s_reflect=1.0, s_resend=0.75, s_aux=0.5, "
+        "s_x_given_a2=0.0, td_reflect_aux=0.25, h_key_given_b=0.125)",
+    ),
+    "Tolerances": (
+        DEFAULT,
+        "Tolerances(hermitian=1e-10, hermitian_input=1e-08, trace_one=1e-10, psd=1e-10, isometry=1e-10, "
+        "orthonormal=1e-08, eta_degenerate=1e-08, equivalence=1e-09, decomposition=1e-10)",
+    ),
+    "KeyRateReport": (key_rate(0.03, EQUAL), None),  # its repr is pinned in test_keyrate
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_named_tuples(name):
+    record, expected_repr = RECORDS[name]
+    assert type(record).__name__ == name
+    assert record == tuple(getattr(record, field) for field in record._fields)
+    assert hash(record) == hash(tuple(record))
+    assert record._replace() == record and record._asdict() == dict(zip(record._fields, record))
+    for attribute in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, 0.0)
+    if expected_repr is not None:
+        assert repr(record) == expected_repr
+
+
+def test_replace_reruns_the_record_checks():
+    report, _ = RECORDS["VerifyReport"]
+    with pytest.raises(ValueError, match="passed flag contradicts residual and tolerance"):
+        report._replace(passed=False)
+    with pytest.raises(ValueError, match="passed flag contradicts residual and tolerance"):
+        report._replace(max_residual=1e-6)
+    stats, _ = RECORDS["NoiseStats"]
+    with pytest.raises(ValueError, match=re.escape("q_x=1.5 outside [0.0, 1.0]")):
+        stats._replace(q_x=1.5)
+    # the rates are clamped on replace as on construction
+    assert stats._replace(q_fwd=-1e-13, q_x=1.0 + 1e-13) == (0.0, 0.2, 1.0)
+
+
+def test_only_stateful_types_are_dataclasses():
+    # records a computation returns, and settings it reads, are named tuples; layouts, states,
+    # attacks and channel models, which hold arrays, caches or behaviour, stay dataclasses
+    importers = set()
+    for path in Path(sqkd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "dataclasses" in names or isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                importers.add(path.stem)
+    assert importers == {"linalg", "attacks", "keyrate"}
+
+
 def test_every_tolerance_is_read():
     # a tolerance whose last reader is gone is a dead knob: delete it with that reader
     source = "".join(path.read_text(encoding="utf-8") for path in Path(sqkd.__file__).parent.glob("*.py"))
     read = set(re.findall(r"\bTOL\.(\w+)", source))
-    unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read]
+    unread = [name for name in Tolerances._fields if name not in read]
     assert not unread, f"tolerances no module reads as TOL.<field>: {unread}"
 
 

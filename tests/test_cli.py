@@ -4,7 +4,6 @@ Everything except the two entry-point smoke tests drives ``main(argv)`` in
 process for speed. The smoke tests run a child interpreter on the same
 ``sqkd`` package the suite imported, so neither needs an installed package.
 """
-import dataclasses
 import hashlib
 import json
 import os
@@ -23,7 +22,7 @@ from sqkd.cli import _cell, _render, build_parser, main
 from sqkd.keyrate import (
     DEPOLARIZING, EQUAL, HALF, KeyRateReport, key_rate, keyrate_curve, noise_threshold,
 )
-from sqkd.verification import CHECK_NAMES, run_all_checks
+from sqkd.verification import CHECK_NAMES, VerifyReport, run_all_checks
 
 REPORT_HEADER = "Q,Q_X,epsilon,delta,s_tau_bound,branch,g,r"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -194,7 +193,7 @@ def test_csv_render_of_a_full_curve_matches_csv_writer(model):
 
 # each command's rows as dicts, built from the library without the CLI's tables
 DICT_TABLES = {
-    "verify --trials 2 --seed 7": lambda: [dataclasses.asdict(r) for r in run_all_checks(2, 7)],
+    "verify --trials 2 --seed 7": lambda: [r._asdict() for r in run_all_checks(2, 7)],
     "threshold --qx-model half": lambda: [
         {"model": "half", "threshold": (t := noise_threshold(HALF)), "threshold_percent": 100.0 * t}
     ],
@@ -239,7 +238,7 @@ def test_verify_small_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "2", "--seed", "5")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "check,trials,max_residual,tolerance,passed"
+    assert lines[0] == "check,trials,max_residual,tolerance,passed" == ",".join(VerifyReport._fields)
     assert tuple(line.split(",")[0] for line in lines[1:]) == CHECK_NAMES
     assert all(line.endswith(",true") for line in lines[1:])
 

@@ -1,5 +1,4 @@
 """Tests for the randomized verification suites and their report type."""
-import dataclasses
 import functools
 import itertools
 import math
@@ -190,7 +189,7 @@ def diagnostics():
 )
 def test_nan_diagnostic_gives_nan_residual(diagnostics, residual_fn, field):
     assert residual_fn(diagnostics) <= 1e-12
-    assert math.isnan(residual_fn(dataclasses.replace(diagnostics, **{field: math.nan})))
+    assert math.isnan(residual_fn(diagnostics._replace(**{field: math.nan})))
 
 
 def _poison_second_symmetric_trial(monkeypatch):
@@ -200,7 +199,7 @@ def _poison_second_symmetric_trial(monkeypatch):
 
     def poisoned(attack):
         diag = original(attack)
-        return dataclasses.replace(diag, s_aux=math.nan) if next(calls) == 1 else diag
+        return diag._replace(s_aux=math.nan) if next(calls) == 1 else diag
 
     monkeypatch.setattr(verification, "symmetric_attack_diagnostics", poisoned)
 
@@ -274,7 +273,7 @@ def test_symmetric_sample_shape_and_content():
         # entropies of qubit key registers stay in [0, 1]
         assert -EXACT <= diag.s_reflect <= 1.0 + EXACT
         # plain Python numbers, not numpy scalars
-        for name, value in vars(diag).items():
+        for name, value in diag._asdict().items():
             assert type(value) is (int if name == "d_e" else float), name
     # deterministic under the same seed
     again = symmetric_diagnostics_sample(2, seed=21)
@@ -353,7 +352,7 @@ def test_vector_route_matches_density_matrix_route(attacks):
     for attack in attacks():
         reference, reference_stats = density_matrix_reference(attack)
         diag = symmetric_attack_diagnostics(attack)
-        for name in SymmetricAttackDiagnostics.__dataclass_fields__:
+        for name in SymmetricAttackDiagnostics._fields:
             assert abs(getattr(diag, name) - getattr(reference, name)) <= EXACT, name
         stats = estimate_noise_stats(derive_reduced_attack(attack))
         for value, expected in zip((stats.q_fwd, stats.q_rev, stats.q_x), reference_stats):
@@ -377,12 +376,12 @@ def test_e_side_rotation_leaves_every_observable_unchanged(seed, q, d_e):
     w = np.kron(np.eye(2), haar_random_unitary(d_e, rng))
     rotated = RestrictedAttack(attack.q0, attack.q1, attack.eta0, attack.eta1, w @ attack.u, d_e)
     diag, turned = symmetric_attack_diagnostics(attack), symmetric_attack_diagnostics(rotated)
-    for name in SymmetricAttackDiagnostics.__dataclass_fields__:
+    for name in SymmetricAttackDiagnostics._fields:
         assert abs(getattr(turned, name) - getattr(diag, name)) <= EXACT, name
     # each block-route quantity is a spectrum of E blocks, so a wrong combination of
     # blocks is just as invariant: every field is also checked against the density-matrix route
     reference, reference_stats = density_matrix_reference(attack)
-    for name in SymmetricAttackDiagnostics.__dataclass_fields__:
+    for name in SymmetricAttackDiagnostics._fields:
         assert abs(getattr(turned, name) - getattr(reference, name)) <= EXACT, name
     for form in (attack, rotated, derive_reduced_attack(rotated)):
         stats = estimate_noise_stats(form)
@@ -487,7 +486,7 @@ def test_named_attacks_match_closed_forms(name):
         for value, closed_form in zip(observed, (expected.q, 0.0, expected.q_x)):
             assert abs(value - closed_form) <= EXACT
     diag = symmetric_attack_diagnostics(restricted)
-    for field in SymmetricAttackDiagnostics.__dataclass_fields__:
+    for field in SymmetricAttackDiagnostics._fields:
         assert abs(getattr(diag, field) - getattr(expected, field)) <= EXACT, field
     assert uncertainty_residual(diag) <= EXACT
     assert abs(diag.s_resend - diag.h_key_given_b - TRUE_RATES[name]) <= EXACT
