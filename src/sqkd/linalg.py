@@ -7,11 +7,11 @@ instead of by axis arithmetic. Everything here is a pure function of its
 inputs; RNG state is always passed explicitly.
 
 States are validated once, where they enter: the public
-:class:`DensityOperator` constructor and :meth:`DensityOperator.from_state`
-check every invariant. States derived from an already-valid one by
-:func:`partial_trace` or :func:`measure_register` are built without
+:class:`DensityOperator` constructor gives a matrix three gates and a state
+vector, as :meth:`DensityOperator.from_state` passes it, its norm gate, and
+keeps the vector for :func:`trace_distance`. States derived from a valid
+one by :func:`partial_trace` or :func:`measure_register` are built without
 re-checking, since both maps preserve Hermiticity, positivity and trace.
-``from_state`` also keeps its vector, for :func:`trace_distance` to read.
 
 Dimensions are small by design (full systems never exceed 64), so all
 operations use dense algebra with no attempt at sparsity.
@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Complex, Real
 
 import numpy as np
 
 from .tolerances import DEFAULT as TOL
 
 VALID_LABELS = ("A", "A1", "A2", "B", "T", "E")
+_Labels = str | set[str] | tuple[str, ...] | list[str]  # a bare str names one label
 
 __all__ = [
     "VALID_LABELS",
@@ -105,15 +107,16 @@ def layout(*factors: tuple[str, int]) -> SubsystemLayout:
 class DensityOperator:
     """A Hermitian, positive-semidefinite, unit-trace matrix with a layout.
 
-    The public constructor and :meth:`from_state` validate all three
-    invariants (Hermiticity and trace entrywise within 1e-10, eigenvalues
-    >= -1e-10) and store a read-only copy of the matrix, so instances are
-    safe to share. The eigenvalue bound is tested by one Cholesky
-    factorization of rho + 1e-10 I, which succeeds exactly when every
-    eigenvalue of rho is >= -1e-10. States that :func:`partial_trace` and
-    :func:`measure_register` derive from a valid one are built by the
-    private :meth:`_trusted`, which checks nothing. Only :meth:`from_state`
-    states hold a vector, their read-only unit vector, as the private ``_vector``.
+    The public constructor validates a square matrix or a state vector and
+    stores read-only copies, so instances are safe to share. A matrix must be
+    Hermitian and of unit trace entrywise within 1e-10, with eigenvalues >=
+    -1e-10: one Cholesky factorization of rho + 1e-10 I succeeds exactly
+    when they are. A 1-D ``matrix`` is a state vector psi of length
+    ``layout.dim``; its one gate is |<psi|psi> - 1| <= 1e-10, the trace gate
+    of |psi><psi|, which is Hermitian and positive by construction and
+    becomes ``matrix``, with psi kept as the private ``_vector``. States that
+    :func:`partial_trace` and :func:`measure_register` derive from a valid
+    one are built by the private :meth:`_trusted`, which checks nothing.
     """
 
     matrix: np.ndarray
@@ -122,6 +125,17 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
+        if m.ndim == 1:  # a state vector: a unit vector's projector passes every matrix gate
+            if m.shape[0] != self.layout.dim:
+                raise ValueError(f"state vector length {len(m)} is not the layout dimension {self.layout.dim}")
+            norm = np.linalg.norm(m)
+            if not abs(norm * norm - 1.0) <= TOL.trace_one:  # the projector's trace is norm^2
+                raise ValueError(f"state vector norm {norm} is not 1 within tolerance")
+            m.setflags(write=False)
+            object.__setattr__(self, "_vector", m)
+            object.__setattr__(self, "matrix", np.outer(m, m.conj()))
+            self.matrix.setflags(write=False)
+            return
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
         if m.shape[0] != self.layout.dim:
@@ -157,15 +171,8 @@ class DensityOperator:
 
     @classmethod
     def from_state(cls, psi: np.ndarray, lay: SubsystemLayout) -> "DensityOperator":
-        """Projector |psi><psi| of a normalized state vector, which it keeps as ``_vector``."""
-        v = np.array(psi, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if not abs(norm * norm - 1.0) <= TOL.trace_one:  # the projector's trace is norm^2
-            raise ValueError(f"state vector norm {norm} is not 1 within tolerance")
-        rho = cls(np.outer(v, v.conj()), lay)
-        v.setflags(write=False)
-        object.__setattr__(rho, "_vector", v)
-        return rho
+        """Projector |psi><psi| of a normalized state vector of any shape, as the constructor's vector input."""
+        return cls(np.asarray(psi, dtype=complex).reshape(-1), lay)
 
     @property
     def dim(self) -> int:
@@ -180,13 +187,17 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...] | list[str]) -> np.ndarray:
+def _labels(labels: _Labels) -> tuple[str, ...]:
+    return (labels,) if isinstance(labels, str) else tuple(labels)
+
+
+def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: _Labels) -> np.ndarray:
     """Lift an operator acting on the named factors to the full space.
 
     ``op`` must act on the tensor product of the listed factors in the
     listed order; identity is applied to every other factor.
     """
-    positions = [lay.position(lab) for lab in labels]
+    positions = [lay.position(lab) for lab in _labels(labels)]
     dims = lay.dims
     n, k = len(dims), len(positions)
     rest = [i for i in range(n) if i not in positions]
@@ -203,13 +214,13 @@ def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: tuple[str, ...]
     return full.transpose(axes).reshape(lay.dim, lay.dim)
 
 
-def partial_trace(rho: DensityOperator, keep: set[str] | tuple[str, ...] | list[str]) -> DensityOperator:
+def partial_trace(rho: DensityOperator, keep: _Labels) -> DensityOperator:
     """Trace out all factors not named in ``keep``.
 
     The reduced operator keeps the surviving factors in their original
     order; the trace is preserved exactly.
     """
-    keep_set = set(keep)
+    keep_set = set(_labels(keep))
     if not keep_set:
         raise ValueError("keep must name at least one factor")
     unknown = keep_set - set(rho.layout.labels)
@@ -275,11 +286,12 @@ def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
 
 def _number(name: str, value, kind: type = float, what: str = "a real number"):
     """``kind(value)``, ``kind`` float or complex. Text (both would parse it), a complex value where
-    a float is due (numpy's complex128 would lose its imaginary part), None, any value ``kind``
-    refuses and one beyond float range raise ValueError naming the input."""
+    a float is due (any ``numbers.Complex`` not ``numbers.Real``; numpy's would drop the imaginary
+    part), None, what ``kind`` refuses and values beyond float range raise ValueError naming it."""
     try:
         text = isinstance(value, (str, bytes, bytearray, memoryview))  # float() parses each
-        if text or kind is float and isinstance(value, complex):
+        # a float or an int matches a plain type of the tuple before the slower ABC check
+        if text or kind is float and not isinstance(value, (float, int, Real)) and isinstance(value, Complex):
             raise TypeError
         return kind(value)
     except TypeError:
@@ -336,18 +348,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return float(_entropy_bits(np.linalg.eigvalsh(rho.matrix)))
 
 
-def conditional_entropy(
-    rho: DensityOperator,
-    a: set[str] | tuple[str, ...] | list[str],
-    b: set[str] | tuple[str, ...] | list[str],
-) -> float:
+def conditional_entropy(rho: DensityOperator, a: _Labels, b: _Labels) -> float:
     """Conditional von Neumann entropy S(A|B) = S(AB) - S(B).
 
     ``a`` and ``b`` are disjoint label subsets of the layout; both
     entropies are computed on the relevant reduced operators. An empty
     ``b`` reduces to the plain entropy of ``a``.
     """
-    a_set, b_set = set(a), set(b)
+    a_set, b_set = set(_labels(a)), set(_labels(b))
     if a_set & b_set:
         raise ValueError(f"label sets overlap: {sorted(a_set & b_set)}")
     if not a_set:

@@ -210,6 +210,8 @@ def vector_pair_residual(v0: np.ndarray, v1: np.ndarray) -> float:
     """
     v0 = np.asarray(v0, dtype=complex).reshape(-1)
     v1 = np.asarray(v1, dtype=complex).reshape(-1)
+    if not v0.size == v1.size >= 2:  # the rank-two identities need two dimensions
+        raise ValueError(f"vectors must share one length >= 2, got lengths {v0.size} and {v1.size}")
     m = np.outer(v0, v1.conj()) + np.outer(v1, v0.conj())
     w = np.linalg.eigvalsh(m)  # ascending, so lam_plus pairs with w[-1]
     tn = float(np.sum(np.abs(w)))

@@ -13,8 +13,8 @@ import pytest
 import sqkd
 from sqkd.attacks import NoiseStats, ReducedAttack, RestrictedAttack, random_collective_attack, random_symmetric_attack
 from sqkd.cli import main
-from sqkd.keyrate import EQUAL, KeyRateReport, explicit, key_rate, keyrate_curve, noise_threshold
-from sqkd.linalg import basis_state, binary_entropy, haar_random_unitary, layout
+from sqkd.keyrate import EQUAL, KeyRateReport, continuity_bound, explicit, key_rate, keyrate_curve, noise_threshold
+from sqkd.linalg import _check_integer, basis_state, binary_entropy, haar_random_unitary, layout
 from sqkd.tolerances import DEFAULT, Tolerances
 from sqkd.verification import SymmetricAttackDiagnostics, VerifyReport, check_lemma_trd, run_all_checks, trial_rng
 
@@ -111,6 +111,29 @@ def test_text_none_and_complex_are_not_real_inputs(call, message):
     # raise TypeError, and float(np.complex128(0.03)) would drop the imaginary part
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("kind", [np.complex64, np.complex128, np.clongdouble])
+def test_every_numpy_complex_type_is_refused_where_a_real_is_due(kind):
+    # float(np.complex64(...)) drops the imaginary part with only a ComplexWarning
+    value = kind(0.03 + 0.5j)
+    for call, name in [
+        (lambda: key_rate(value, EQUAL), "Q"),
+        (lambda: continuity_bound(value), "eps"),
+        (lambda: binary_entropy(value), "binary_entropy argument"),
+        (lambda: explicit(value), "value"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}=.* is not a real number$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "kind", [np.float16, np.float32, np.float64, np.longdouble, np.int8, np.int64, np.uint64, int, float]
+)
+def test_numpy_real_and_integer_types_are_real_inputs(kind):
+    assert key_rate(kind(0), EQUAL) == key_rate(0.0, EQUAL)
+    assert binary_entropy(kind(1)) == 0.0
+    assert _check_integer("steps", kind(3)) == 3
 
 
 RECORDS = {

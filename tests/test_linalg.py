@@ -118,6 +118,60 @@ def test_from_state_gates_the_squared_norm_at_the_trace_bound():
             DensityOperator.from_state(PLUS * (1.0 + excess), lay)
 
 
+NORM_SQUARED = (1.0, 1.0 + 0.9e-10, 1.0 - 0.9e-10, 1.0 + 1.1e-10, 1.0 - 1.1e-10)
+
+
+@st.composite
+def vector_cases(draw):
+    """(psi, layout): a layout of dimension 1-64, one factor or up to three, and psi of norm^2
+    in NORM_SQUARED, flat or in the layout's tensor shape, perhaps with a NaN or an inf entry
+    or a wrong length."""
+    one_factor = st.integers(1, 64).map(lambda d: [d])
+    dims = draw(st.one_of(one_factor, st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+    lay = layout(*zip(("E", "T", "B"), dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = lay.dim + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    psi = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    psi *= math.sqrt(draw(st.sampled_from(NORM_SQUARED))) / max(np.linalg.norm(psi), 1e-300)
+    flaw = draw(st.sampled_from([None, None, math.nan, math.inf, complex(-math.inf, math.inf)]))
+    if flaw is not None and length:
+        psi[draw(st.integers(0, length - 1))] = flaw
+    if length == lay.dim and draw(st.booleans()):
+        psi = psi.reshape(lay.dims)
+    return psi, lay
+
+
+@settings(deadline=None, max_examples=200)
+@given(vector_cases())
+@example((PLUS * math.sqrt(1.0 + 0.9e-10), layout(("T", 2))))
+@example((PLUS * math.sqrt(1.0 + 1.1e-10), layout(("T", 2))))
+@example((BELL.reshape(2, 2), layout(("A1", 2), ("A2", 2))))
+def test_vector_gate_accepts_exactly_what_the_norm_gate_accepts(case):
+    psi, lay = case
+    v = psi.reshape(-1)
+    norm = np.linalg.norm(v)
+    expected = v.shape[0] == lay.dim and abs(norm * norm - 1.0) <= TOL.trace_one
+    for build in (DensityOperator.from_state, lambda p, lay: DensityOperator(p.reshape(-1), lay)):
+        try:
+            rho = build(psi, lay)
+        except ValueError:
+            assert not expected
+            continue
+        assert expected
+        assert rho.matrix.tobytes() == np.outer(v, v.conj()).tobytes()
+        assert not rho.matrix.flags.writeable
+        DensityOperator(rho.matrix, lay)  # the projector passes the three matrix gates
+        assert rho._vector.tobytes() == v.tobytes()
+        assert not rho._vector.flags.writeable and not np.shares_memory(rho._vector, psi)
+
+
+def test_vector_input_names_a_wrong_length():
+    with pytest.raises(ValueError, match="^state vector length 3 is not the layout dimension 2$"):
+        DensityOperator(np.ones(3) / math.sqrt(3.0), layout(("T", 2)))
+    with pytest.raises(ValueError, match="^density operator must be square"):
+        DensityOperator(np.ones((1, 2, 2)) / 2.0, layout(("T", 2)))
+
+
 def accepted(m, lay):
     try:
         DensityOperator(m, lay)
@@ -254,6 +308,24 @@ def test_partial_trace_product_and_order():
         partial_trace(rho, set())
     with pytest.raises(ValueError):
         partial_trace(rho, {"B"})
+
+
+def test_a_bare_label_string_names_one_factor():
+    # a str is one label, not its characters: "A1" once read as {"A", "1"}
+    rng = np.random.default_rng(41)
+    lay = layout(("A1", 2), ("A2", 2), ("E", 3))
+    rho = DensityOperator.from_state(random_unit_vector(rng, lay.dim), lay)
+    op = random_matrix(rng, 2)
+    for label in ("A1", "E"):
+        forms = (label, {label}, (label,), [label])
+        reduced = [partial_trace(rho, keep).matrix.tobytes() for keep in forms]
+        assert reduced.count(reduced[0]) == len(forms)
+        entropies = [conditional_entropy(rho, "A2", b) for b in forms]
+        assert entropies.count(entropies[0]) == len(forms)
+    embedded = [embed_operator(op, lay, labels).tobytes() for labels in ("A2", {"A2"}, ("A2",), ["A2"])]
+    assert embedded.count(embedded[0]) == 4
+    with pytest.raises(ValueError, match=r"labels \['A'\] not in layout"):
+        partial_trace(rho, "A")
 
 
 def test_trace_norm_values():

@@ -44,6 +44,7 @@ from sqkd.linalg import (
     partial_trace,
     trace_distance,
 )
+from sqkd.tolerances import DEFAULT as TOL
 from sqkd.verification import (
     CHECK_NAMES,
     Q_GRID,
@@ -220,6 +221,53 @@ def test_vector_pair_residual_hand_case():
     v0 = np.array([1.0, 0.0], dtype=complex)
     v1 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     assert vector_pair_residual(v0, v1) < EXACT
+
+
+@pytest.mark.parametrize("lengths", [(0, 0), (2, 3), (4, 2), (1, 1), (0, 2)])
+def test_vector_pair_residual_names_both_lengths(lengths):
+    # empty vectors once raised IndexError, unequal ones numpy's broadcast error, and a
+    # pair of length 1, with no room for the rank-two identities, read a false residual
+    n0, n1 = lengths
+    with pytest.raises(ValueError, match=f"^vectors must share one length >= 2, got lengths {n0} and {n1}$"):
+        vector_pair_residual(np.ones(n0) / max(n0, 1), np.ones(n1) / max(n1, 1))
+
+
+def full_gate_from_state(cls, psi, lay):
+    """The projector of ``psi`` built as a matrix, through all three matrix gates, after the norm gate."""
+    v = np.array(psi, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v)
+    if not abs(norm * norm - 1.0) <= TOL.trace_one:
+        raise ValueError(f"state vector norm {norm} is not 1 within tolerance")
+    rho = cls(np.outer(v, v.conj()), lay)
+    v.setflags(write=False)
+    object.__setattr__(rho, "_vector", v)
+    return rho
+
+
+def test_vector_gated_states_give_the_reports_of_full_gate_states(monkeypatch):
+    fast = repr(run_all_checks(2, 7, (2, 8)))
+    monkeypatch.setattr(DensityOperator, "from_state", classmethod(full_gate_from_state))
+    assert repr(run_all_checks(2, 7, (2, 8))) == fast
+
+
+def test_simulated_states_run_the_constructor_but_no_cholesky(monkeypatch):
+    counts = dict.fromkeys(("init", "cholesky", "simulated"), 0)
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(DensityOperator, "__init__", counting("init", DensityOperator.__init__))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    for name in ("simulate_sqkd", "simulate_entangled_sqkd", "simulate_reduced"):
+        monkeypatch.setattr(verification, name, counting("simulated", getattr(verification, name)))
+    run_all_checks(2, 7, (2, 8))
+    assert counts["cholesky"] == 0
+    assert counts["init"] == counts["simulated"] > 0
 
 
 def test_equivalence_checks_small():
