@@ -107,6 +107,13 @@ def _check_d_e(d_e: int, minimum: int = 1) -> int:
     return _check_integer("ancilla dimension", d_e, minimum, _MAX_D_E)
 
 
+def _check_attack(attack, *forms: type):
+    """``attack`` if it is one of ``forms``; any other type raises TypeError."""
+    if not isinstance(attack, forms):
+        raise TypeError(f"unsupported attack type {type(attack).__name__}")
+    return attack
+
+
 @dataclass(frozen=True, eq=False)
 class CollectiveAttack:
     """Unitary pair (forward, reverse) on T (x) E with ancilla starting at |0>."""
@@ -223,8 +230,8 @@ def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.nd
     """
     if op not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {op!r}")
-    if "T" not in lay.labels:
-        raise ValueError(f"input has no T factor: {lay.labels}")
+    if lay.dim_of("T") != 2:  # a layout without T raises in dim_of
+        raise ValueError("register 'T' is not a qubit")
     if "B" in lay.labels:
         raise ValueError("input already has a B register")
     t_pos = lay.position("T")
@@ -245,6 +252,7 @@ def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
     states set by eta0 and eta1. The parameter constraint makes the two
     columns orthonormal, so F*F = I.
     """
+    _check_attack(attack, RestrictedAttack)
     e = np.array([attack.eta0, math.sqrt(max(0.0, 1.0 - abs(attack.eta0) ** 2))], dtype=complex)
     f = np.array([attack.eta1, math.sqrt(max(0.0, 1.0 - abs(attack.eta1) ** 2))], dtype=complex)
     out = np.zeros((2, 2, 2), dtype=complex)  # (T, ancilla, input)
@@ -268,8 +276,7 @@ def _round_map(attack, op: str) -> np.ndarray:
 
     A's input rides as a trailing factor, so both columns take the round together.
     """
-    if not isinstance(attack, (CollectiveAttack, RestrictedAttack)):
-        raise TypeError(f"unsupported attack type {type(attack).__name__}")
+    _check_attack(attack, CollectiveAttack, RestrictedAttack)
     if op not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {op!r}")
     if op not in attack._maps:
@@ -306,7 +313,7 @@ def derive_restricted_from_collective(attack: CollectiveAttack) -> RestrictedAtt
     1) the corresponding V column is unreachable and is completed
     arbitrarily within its Z block.
     """
-    d_e = attack.d_e
+    d_e = _check_attack(attack, CollectiveAttack).d_e
     if d_e < 2:
         raise ValueError("reduction needs an ancilla of dimension at least 2")
     # the ancilla starts in |0>, so |t, 0> is column t * d_e
@@ -403,7 +410,7 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     The resulting joint state over (A1, A2, B, E) equals the entangled
     protocol's output exactly, for both of B's round types.
     """
-    d_e = attack.d_e
+    d_e = _check_attack(attack, RestrictedAttack).d_e
     p0 = 0.5 * (1.0 - attack.q1**2 + attack.q0**2)
     # the rewind's two-dimensional ancilla embedded into C^{d_e}
     rewind = np.zeros((4, d_e, 2), dtype=complex)
@@ -416,8 +423,7 @@ def _round_vector(attack: ReducedAttack, name: str) -> np.ndarray:
     """The read-only round vector amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b> on (A1, A2, B, E),
     b = 1 on resend rounds, amp1 negated on the aux run, built on first read and held in
     the attack's ``_maps``."""
-    if not isinstance(attack, ReducedAttack):
-        raise TypeError(f"unsupported attack type {type(attack).__name__}")
+    _check_attack(attack, ReducedAttack)
     if name not in attack._maps:
         amp0, amp1 = math.sqrt(attack.p0), math.sqrt(max(0.0, 1.0 - attack.p0))
         # each column's amplitudes on (B = 0, B = 1)

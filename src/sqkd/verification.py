@@ -5,15 +5,15 @@ equalities) or the amount by which an inequality is violated, and reports the wo
 over all trials against a fixed tolerance. A residual and a worst residual are each the largest
 term and 0, or NaN if any term is NaN, whatever their order, so a NaN fails its check.
 
-RNG streams are derived per trial from (seed, suite, trial) through a
-counter-based generator, so any single trial can be reproduced in
-isolation and concurrency or trial order can never change results.
+Every suite reads one stream of ``Trial(seed, suite, index, d_e, q)`` records, and ``_draw``
+rebuilds each trial from its own counter-based generator trial_rng(seed, suite, index) alone,
+so any single trial can be reproduced in isolation and trial order can never change results.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,35 +140,45 @@ def _report(check: str, residuals: Sequence[float], tolerance: float) -> VerifyR
     return VerifyReport(check, len(residuals), worst, tolerance, worst <= tolerance)
 
 
-def _attacks(suite: int, trials: int, seed: int, d_e_list: Sequence[int]) -> Iterator:
-    """The seeded attack stream of ``suite`` in trial order, the one every check of it reads.
+# One draw of a suite: trial_rng(seed, suite, index) at dimension d_e (the vectors' dimension
+# on the vector-pair suite) and, on the symmetric suite, rate q, else None.
+Trial = namedtuple("Trial", "seed suite index d_e q")
 
-    Trial t draws from trial_rng(seed, suite, t) at d_E = d_e_list[t % trials % len(d_e_list)];
-    the symmetric suite runs ``trials`` attacks at each rate of Q_GRID, Q = Q_GRID[t // trials].
-    """
-    for t in range(trials * len(Q_GRID) if suite == SUITE_SYMMETRIC else trials):
-        rng = trial_rng(seed, suite, t)
-        d_e = d_e_list[t % trials % len(d_e_list)]
-        if suite == SUITE_COLLECTIVE:
-            yield random_collective_attack(d_e, rng)
-        elif suite == SUITE_RESTRICTED:
-            yield random_restricted_attack(d_e, rng)
-        else:
-            yield random_symmetric_attack(Q_GRID[t // trials], rng, d_e)
+
+def _draw(trial: Trial):
+    """The attack of ``trial``, or on the vector-pair suite its pair (v0, v1), rebuilt from it alone."""
+    rng = trial_rng(trial.seed, trial.suite, trial.index)
+    if trial.suite == SUITE_VECTOR_PAIRS:  # complex Gaussians: v0's real, then imaginary parts, then v1's
+        return tuple(rng.standard_normal(trial.d_e) + 1j * rng.standard_normal(trial.d_e) for _ in range(2))
+    if trial.suite == SUITE_COLLECTIVE:
+        return random_collective_attack(trial.d_e, rng)
+    if trial.suite == SUITE_RESTRICTED:
+        return random_restricted_attack(trial.d_e, rng)
+    return random_symmetric_attack(trial.q, rng, trial.d_e)
+
+
+def _dimensions(d_e_list: Iterable[int]) -> tuple[int, ...]:
+    """``d_e_list`` read once, as a nonempty tuple of valid ancilla dimensions."""
+    if not hasattr(d_e_list, "__iter__"):
+        raise ValueError(f"ancilla dimension list {d_e_list!r} is not a sequence")
+    if dims := tuple(_check_d_e(d, minimum=2) for d in d_e_list):
+        return dims
+    raise ValueError("ancilla dimension list is empty")
 
 
 # Suites and trial functions are called through their module globals, read at call time:
 # perfbench/tracer.py rebinds them in every sqkd namespace, and a table built at import would
 # keep the unwrapped functions, so CI's traced smoke would count no calls to them and fail.
-def _per_trial(suite: int, trial_fn, trials: int, seed: int, d_e_list: Sequence[int]) -> list:
-    """``trial_fn`` of every attack of ``suite``'s stream, after validating the arguments."""
-    if not d_e_list:
-        raise ValueError("ancilla dimension list is empty")
-    if not hasattr(d_e_list, "__iter__"):
-        raise ValueError(f"ancilla dimension list {d_e_list!r} is not a sequence")
-    d_e_list = tuple(_check_d_e(d, minimum=2) for d in d_e_list)
-    trials = _check_integer("trials", trials, 1)
-    return [trial_fn(a) for a in _attacks(suite, trials, seed, d_e_list)]
+def _per_trial(suite: int, trial_fn, trials: int, seed: int, d_e_list: Iterable[int]) -> list:
+    """``trial_fn`` of each trial's draw in ``suite``'s stream, after validating the arguments:
+    trial t draws at d_E = d_e_list[t % len(d_e_list)], and the symmetric suite runs ``trials``
+    trials at each rate Q_GRID[i], under the indices i * trials + t."""
+    dims, trials = _dimensions(d_e_list), _check_integer("trials", trials, 1)
+    rates = enumerate(Q_GRID if suite == SUITE_SYMMETRIC else (None,))
+    stream = (
+        Trial(seed, suite, i * trials + t, dims[t % len(dims)], q) for i, q in rates for t in range(trials)
+    )
+    return [trial_fn(_draw(trial)) for trial in stream]
 
 
 def collective_reduction_residual(attack: CollectiveAttack) -> float:
@@ -273,7 +283,7 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
 
 
 def symmetric_diagnostics_sample(
-    trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
+    trials: int, seed: int, d_e_list: Iterable[int] = DEFAULT_D_E
 ) -> list[SymmetricAttackDiagnostics]:
     """Diagnostics for ``trials`` seeded attacks at every rate in Q_GRID."""
     return _per_trial(SUITE_SYMMETRIC, symmetric_attack_diagnostics, trials, seed, d_e_list)
@@ -321,7 +331,7 @@ def main_bound_residual(diag: SymmetricAttackDiagnostics) -> float:
 
 
 def check_thm1_equivalence(
-    trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
+    trials: int, seed: int, d_e_list: Iterable[int] = DEFAULT_D_E
 ) -> VerifyReport:
     """Collective-to-restricted reduction over seeded Haar-random attacks."""
     residuals = _per_trial(SUITE_COLLECTIVE, collective_reduction_residual, trials, seed, d_e_list)
@@ -329,7 +339,7 @@ def check_thm1_equivalence(
 
 
 def check_thm2_equivalence(
-    trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
+    trials: int, seed: int, d_e_list: Iterable[int] = DEFAULT_D_E
 ) -> VerifyReport:
     """Restricted-to-reduced protocol equivalence over seeded random attacks."""
     residuals = _per_trial(SUITE_RESTRICTED, restricted_reduction_residual, trials, seed, d_e_list)
@@ -342,19 +352,12 @@ def check_lemma_trd(trials: int, seed: int) -> VerifyReport:
     Vector dimensions cycle through 2..8; entries are unnormalized complex
     Gaussians, so the identities are exercised away from unit norm.
     """
-    trials = _check_integer("trials", trials, 1)
-    residuals = []
-    for t in range(trials):
-        rng = trial_rng(seed, SUITE_VECTOR_PAIRS, t)
-        dim = 2 + t % 7
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        residuals.append(vector_pair_residual(v0, v1))
+    residuals = _per_trial(SUITE_VECTOR_PAIRS, lambda v: vector_pair_residual(*v), trials, seed, range(2, 9))
     return _report("lemma-trd", residuals, TOL.equivalence)
 
 
 def check_isometries(
-    trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
+    trials: int, seed: int, d_e_list: Iterable[int] = DEFAULT_D_E
 ) -> VerifyReport:
     """Orthonormality residuals of every constructed isometry and unitary.
 
@@ -373,13 +376,13 @@ def check_isometries(
             _isometry_residual(derive_reduced_attack(attack).v),
         )
 
-    suites = (SUITE_COLLECTIVE, SUITE_RESTRICTED, SUITE_SYMMETRIC)
+    suites, d_e_list = (SUITE_COLLECTIVE, SUITE_RESTRICTED, SUITE_SYMMETRIC), _dimensions(d_e_list)
     residuals = [r for suite in suites for r in _per_trial(suite, residual, trials, seed, d_e_list)]
     return _report("isometries", residuals, TOL.isometry)
 
 
 def run_all_checks(
-    trials: int, seed: int, d_e_list: Sequence[int] = DEFAULT_D_E
+    trials: int, seed: int, d_e_list: Iterable[int] = DEFAULT_D_E
 ) -> list[VerifyReport]:
     """All named checks in reporting order.
 
@@ -387,6 +390,7 @@ def run_all_checks(
     error-rate grid point of the entropy suites. The four entropy checks
     share one attack sample, so their reported trial counts are equal.
     """
+    d_e_list = _dimensions(d_e_list)
     reports = [
         check_thm1_equivalence(trials, seed, d_e_list),
         check_thm2_equivalence(trials, seed, d_e_list),

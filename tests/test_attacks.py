@@ -42,6 +42,7 @@ from sqkd.linalg import (
     trace_distance,
     trace_norm,
 )
+from sqkd.verification import restricted_reduction_residual, symmetric_attack_diagnostics
 
 EXACT = 1e-12
 # the identity attack's images of |000> and |110> on (A1, A2, E) with d_e = 2
@@ -230,6 +231,15 @@ def test_bob_operation_insert_position_and_errors():
         bob_operation(basis_state(2, 0), layout(("A1", 2)), MEASURE_RESEND)
     with pytest.raises(ValueError):
         bob_operation(psi, lay, "teleport")
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_bob_operation_refuses_a_transit_register_that_is_not_a_qubit(dim):
+    # B's axis went in after T's second index: reflect on T = 1 of (T:4) left its amplitude
+    # at T = 0, B = 1, not at T = 1, B = 0
+    for op in (MEASURE_RESEND, REFLECT):
+        with pytest.raises(ValueError, match="^register 'T' is not a qubit$"):
+            bob_operation(basis_state(dim, dim - 1), layout(("T", dim)), op)
 
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -752,3 +762,36 @@ def test_random_samplers_deterministic_and_valid():
         random_symmetric_attack(0.6, rng)
     with pytest.raises(ValueError):
         random_restricted_attack(9, rng)
+
+
+def _attack_form(name):
+    rng = np.random.default_rng(23)
+    if name == "collective":
+        return random_collective_attack(2, rng)
+    restricted = random_restricted_attack(2, rng)
+    return restricted if name == "restricted" else derive_reduced_attack(restricted)
+
+
+@pytest.mark.parametrize(
+    "fn, form",
+    [
+        *((derive_restricted_from_collective, form) for form in ("restricted", "reduced")),
+        *(
+            (fn, form)
+            for fn in (
+                forward_isometry,
+                build_rewind,
+                derive_reduced_attack,
+                restricted_reduction_residual,
+                symmetric_attack_diagnostics,
+            )
+            for form in ("collective", "reduced")
+        ),
+    ],
+)
+def test_a_wrong_attack_form_is_a_type_error(fn, form):
+    # reading a field the form lacks once raised AttributeError, e.g. "'CollectiveAttack'
+    # object has no attribute 'q1'"
+    attack = _attack_form(form)
+    with pytest.raises(TypeError, match=f"^unsupported attack type {type(attack).__name__}$"):
+        fn(attack)

@@ -54,9 +54,11 @@ from sqkd.verification import (
     check_lemma_trd,
     check_thm1_equivalence,
     check_thm2_equivalence,
+    collective_reduction_residual,
     continuity_residual,
     epsilon_residual,
     main_bound_residual,
+    restricted_reduction_residual,
     run_all_checks,
     symmetric_attack_diagnostics,
     symmetric_diagnostics_sample,
@@ -103,8 +105,13 @@ def test_suite_streams_follow_trial_rng(monkeypatch):
     # on the symmetric suite, at d_E = d_e_list[t % len(d_e_list)]; with 3 trials over (2, 3) a
     # d_E read off the symmetric suite's flat index would pick the other dimension
     trials, seed, d_e_list = 3, 8, (2, 3)
-    suites = (verification.SUITE_COLLECTIVE, verification.SUITE_RESTRICTED, verification.SUITE_SYMMETRIC)
-    assert suites == (1, 2, 4)  # the ids key the streams, so they belong to the reproducible output
+    suites = (
+        verification.SUITE_COLLECTIVE,
+        verification.SUITE_RESTRICTED,
+        verification.SUITE_VECTOR_PAIRS,
+        verification.SUITE_SYMMETRIC,
+    )
+    assert suites == (1, 2, 3, 4)  # the ids key the streams, so they belong to the reproducible output
 
     def rng(suite, index):
         return trial_rng(seed, suite, index)
@@ -145,6 +152,62 @@ def test_suite_streams_follow_trial_rng(monkeypatch):
     )
     report = check_isometries(trials, seed, d_e_list)
     assert report.trials == len(replayed) and report.max_residual == worst
+
+    # the vector-pair suite's trial t draws v0's real and imaginary parts, then v1's, from
+    # trial_rng(seed, 3, t) at dimension 2 + t mod 7; nine trials wrap the cycle
+    def hand_pair(t):
+        generator, dim = rng(3, t), 2 + t % 7
+        return [generator.standard_normal(dim) + 1j * generator.standard_normal(dim) for _ in range(2)]
+
+    original, seen = verification.vector_pair_residual, []
+
+    def recorded(v0, v1):
+        seen.append((v0, v1))
+        return original(v0, v1)
+
+    monkeypatch.setattr(verification, "vector_pair_residual", recorded)
+    report = check_lemma_trd(9, seed)
+    pairs = [hand_pair(t) for t in range(9)]
+    assert len(seen) == len(pairs) == report.trials
+    for (v0, v1), (w0, w1) in zip(seen, pairs):
+        assert np.array_equal(v0, w0) and np.array_equal(v1, w1)
+    assert report.max_residual == max(original(*pair) for pair in pairs)
+
+
+ENTROPY_RESIDUALS = {
+    "uncertainty": uncertainty_residual,
+    "continuity": continuity_residual,
+    "main-ent": main_bound_residual,
+    "epsilon-bound": epsilon_residual,
+}
+
+
+def _trial_residual(check, draw):
+    """The residual ``check`` reads off one trial's draw."""
+    if check == "thm1-equivalence":
+        return collective_reduction_residual(draw)
+    if check == "thm2-equivalence":
+        return restricted_reduction_residual(draw)
+    if check == "lemma-trd":
+        return vector_pair_residual(*draw)
+    return ENTROPY_RESIDUALS[check](symmetric_attack_diagnostics(draw))
+
+
+def test_worst_trial_of_every_check_replays_from_its_trial_alone(monkeypatch):
+    # the trials of each suite's stream, read where the suites draw them
+    drawn, draw = [], verification._draw
+    monkeypatch.setattr(verification, "_draw", lambda trial: drawn.append(trial) or draw(trial))
+    reports = run_all_checks(3, 11, (2, 3))
+    monkeypatch.undo()
+    suite_of = {"thm1-equivalence": 1, "thm2-equivalence": 2, "lemma-trd": 3, **dict.fromkeys(ENTROPY_RESIDUALS, 4)}
+    assert [r.check for r in reports] == list(suite_of)
+    for report in reports:
+        trials = [trial for trial in drawn if trial.suite == suite_of[report.check]]
+        assert len(trials) == report.trials
+        worst = max(trials, key=lambda trial: _trial_residual(report.check, draw(trial)))
+        # a fresh draw from the worst trial's fields alone gives the reported residual, bit for bit
+        replayed = _trial_residual(report.check, draw(verification.Trial(*worst)))
+        assert replayed.hex() == report.max_residual.hex(), (report.check, worst)
 
 
 def test_verify_report_consistency_gate():
@@ -294,19 +357,29 @@ def test_isometry_check_small():
     assert report.passed and report.tolerance == 1e-10
 
 
-@pytest.mark.parametrize("d_e_list", [(), (2, 9)])
+SUITES = (check_thm1_equivalence, check_thm2_equivalence, check_isometries, symmetric_diagnostics_sample, run_all_checks)
+
+
+@pytest.mark.parametrize("d_e_list", [(), (2, 9), np.array([], dtype=int), iter([])])
 def test_suites_reject_bad_ancilla_dimension_lists(d_e_list):
     # (2, 9) with one trial never reaches the 9, so the list must be checked
-    # as a whole before any trial runs
-    for suite in (
-        check_thm1_equivalence,
-        check_thm2_equivalence,
-        check_isometries,
-        symmetric_diagnostics_sample,
-        run_all_checks,
-    ):
+    # as a whole before any trial runs; an empty iterator is truthy, so emptiness
+    # is read off the values
+    for suite in SUITES:
         with pytest.raises(ValueError):
             suite(1, 0, d_e_list)
+
+
+@pytest.mark.parametrize(
+    "dimensions",
+    [lambda: np.array([2, 3]), lambda: iter([2, 3]), lambda: (d for d in (2, 3))],
+    ids=["numpy", "iterator", "generator"],
+)
+def test_any_iterable_of_ancilla_dimensions_is_read_once(dimensions):
+    # a numpy array failed the emptiness gate's truth test, and a one-shot iterator was used
+    # up by the first suite: the next one saw an empty list and divided by zero
+    for suite in SUITES:
+        assert suite(1, 1, dimensions()) == suite(1, 1, (2, 3)), suite.__name__
 
 
 def test_symmetric_sample_shape_and_content():
