@@ -210,6 +210,33 @@ def test_worst_trial_of_every_check_replays_from_its_trial_alone(monkeypatch):
         assert replayed.hex() == report.max_residual.hex(), (report.check, worst)
 
 
+def test_each_check_reports_its_own_residual(monkeypatch):
+    # distinct constants for the seven residual functions come back in CHECK_NAMES order,
+    # so two checks that read each other's residual fail here
+    residual_of = {
+        "thm1-equivalence": "collective_reduction_residual",
+        "thm2-equivalence": "restricted_reduction_residual",
+        "lemma-trd": "vector_pair_residual",
+        "uncertainty": "uncertainty_residual",
+        "continuity": "continuity_residual",
+        "main-ent": "main_bound_residual",
+        "epsilon-bound": "epsilon_residual",
+    }
+    assert tuple(residual_of) == CHECK_NAMES
+    constants = {check: (k + 1) * 1e-13 for k, check in enumerate(CHECK_NAMES)}
+    for check, name in residual_of.items():
+        monkeypatch.setattr(verification, name, lambda *args, value=constants[check]: value)
+    reports = run_all_checks(1, 1, (2,))
+    assert [(report.check, report.max_residual) for report in reports] == list(constants.items())
+
+
+@pytest.mark.parametrize("q", [0.05, None])
+def test_unknown_suite_id_raises_value_error(q):
+    # suite 5 owns no stream: it used to be read as the symmetric suite
+    with pytest.raises(ValueError, match="unknown suite id 5"):
+        verification._draw(verification.Trial(1, 5, 0, 2, q))
+
+
 def test_verify_report_consistency_gate():
     report = VerifyReport("demo", 5, 1e-12, 1e-9, True)
     assert report.passed
