@@ -137,8 +137,8 @@ class RestrictedAttack:
 
     Forward direction: the biasing isometry of :func:`forward_isometry`,
     which keeps |0> with amplitude q0 and |1> with amplitude q1 and leaks
-    the flip events into a two-dimensional ancilla whose states are set by
-    eta0 and eta1. Reverse direction: the arbitrary unitary U on T (x) E.
+    the flip events into E's first two levels, in states set by eta0 and
+    eta1. Reverse direction: the arbitrary unitary U on T (x) E.
     The parameters must satisfy
 
         q0 * eta1 * sqrt(1 - q1^2) + q1 * conj(eta0) * sqrt(1 - q0^2) = 0.
@@ -245,22 +245,22 @@ def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.nd
 
 
 def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
-    """The forward channel isometry F from T into T (x) C^2.
+    """The forward channel isometry F from T into T (x) E, a (2 d_e, 2) matrix.
 
     F|0> = q0 |0,0> + sqrt(1-q0^2) |1,e> and
     F|1> = sqrt(1-q1^2) |0,f> + q1 |1,0>, with |e> and |f> the ancilla
-    states set by eta0 and eta1. The parameter constraint makes the two
-    columns orthonormal, so F*F = I.
+    states set by eta0 and eta1 in E's first two levels; its other rows
+    are zero. The constraint makes the columns orthonormal: F*F = I.
     """
-    _check_attack(attack, RestrictedAttack)
+    d_e = _check_attack(attack, RestrictedAttack).d_e
     e = np.array([attack.eta0, math.sqrt(max(0.0, 1.0 - abs(attack.eta0) ** 2))], dtype=complex)
     f = np.array([attack.eta1, math.sqrt(max(0.0, 1.0 - abs(attack.eta1) ** 2))], dtype=complex)
-    out = np.zeros((2, 2, 2), dtype=complex)  # (T, ancilla, input)
+    out = np.zeros((2, d_e, 2), dtype=complex)  # (T, E, input)
     out[0, 0, 0] = attack.q0
-    out[1, :, 0] = math.sqrt(max(0.0, 1.0 - attack.q0**2)) * e
-    out[0, :, 1] = math.sqrt(max(0.0, 1.0 - attack.q1**2)) * f
+    out[1, :2, 0] = math.sqrt(max(0.0, 1.0 - attack.q0**2)) * e
+    out[0, :2, 1] = math.sqrt(max(0.0, 1.0 - attack.q1**2)) * f
     out[1, 0, 1] = attack.q1
-    return out.reshape(4, 2)
+    return out.reshape(2 * d_e, 2)
 
 
 @functools.cache
@@ -283,10 +283,7 @@ def _round_map(attack, op: str) -> np.ndarray:
         if isinstance(attack, CollectiveAttack):
             forward, u_rev = attack.u_forward[:, [0, attack.d_e]], attack.u_reverse
         else:
-            # the forward isometry's two-dimensional ancilla embedded into C^{d_e}
-            forward = np.zeros((2, attack.d_e, 2), dtype=complex)
-            forward[:, :2, :] = forward_isometry(attack).reshape(2, 2, 2)
-            u_rev = attack.u
+            forward, u_rev = forward_isometry(attack), attack.u
         psi, lay = bob_operation(forward.reshape(-1), _layout(("T", "E", "A"), attack.d_e), op)
         # u_rev's input axes take psi's T and E axes (of T, B, E, A); its output axes return to their places
         u_tensor = u_rev.reshape(2, attack.d_e, 2, attack.d_e)
@@ -376,7 +373,7 @@ def simulate_entangled_sqkd(attack, bob_op: str) -> DensityOperator:
 
 
 def build_rewind(attack: RestrictedAttack) -> np.ndarray:
-    """The rewind isometry from span{|00>, |11>} on (A1, A2) into (A1, A2) (x) C^2.
+    """The rewind isometry from span{|00>, |11>} on (A1, A2) into (A1, A2) (x) E, a (4 d_e, 2) matrix.
 
     Undoes the statistics of the forward channel on the two preparations
     the classical party uses, so that a forward-then-reverse attack can be
@@ -386,18 +383,19 @@ def build_rewind(attack: RestrictedAttack) -> np.ndarray:
         Rw|00> = (q0 |000> + sqrt(1-q1^2) |10f>) / sqrt(1 - q1^2 + q0^2)
         Rw|11> = (sqrt(1-q0^2) |01e> + q1 |110>) / sqrt(1 - q0^2 + q1^2)
 
-    A column vanishes only when its branch has weight zero (squared norms
-    2 p0 and 2 (1 - p0)); it is then that branch's own basis ket, |000> or
-    |110>, in its own Z block of A2. The two columns differ in A2, so they
-    stay orthonormal.
+    |e> and |f> lie in E's first two levels. A column vanishes only when
+    its branch has weight zero (squared norms 2 p0 and 2 (1 - p0)); it is
+    then that branch's own basis ket, |000> or |110>, in its own Z block
+    of A2. The two columns differ in A2, so they stay orthonormal.
     """
-    f = forward_isometry(attack).reshape(2, 2, 2)  # (T, ancilla, input)
+    f = forward_isometry(attack).reshape(2, -1, 2)  # (T, E, input)
+    d_e = f.shape[1]
     columns = []
-    for t, fallback in ((0, 0), (1, 6)):
-        column = np.zeros((2, 2, 2), dtype=complex)  # (A1, A2, ancilla)
+    for t, fallback in ((0, 0), (1, 3 * d_e)):
+        column = np.zeros((2, 2, d_e), dtype=complex)  # (A1, A2, E)
         column[:, t, :] = f[t].T
         norm = float(np.linalg.norm(column))
-        columns.append(column.reshape(8) / norm if norm > 1e-12 else basis_state(8, fallback))
+        columns.append(column.reshape(-1) / norm if norm > 1e-12 else basis_state(4 * d_e, fallback))
     return np.column_stack(columns)
 
 
@@ -406,17 +404,14 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
 
     The reduced attack prepares nothing itself: it consists of the
     preparation weight p0 = (1 - q1^2 + q0^2) / 2 and the isometry
-    (I_A1 (x) u_reverse) . Rw on span{|00>, |11>}, Rw the rewind isometry.
+    (I_A1 (x) U) . Rw on span{|00>, |11>}, Rw the rewind isometry on E.
     The resulting joint state over (A1, A2, B, E) equals the entangled
     protocol's output exactly, for both of B's round types.
     """
     d_e = _check_attack(attack, RestrictedAttack).d_e
     p0 = 0.5 * (1.0 - attack.q1**2 + attack.q0**2)
-    # the rewind's two-dimensional ancilla embedded into C^{d_e}
-    rewind = np.zeros((4, d_e, 2), dtype=complex)
-    rewind[:, :2, :] = build_rewind(attack).reshape(4, 2, 2)
     reverse = embed_operator(attack.u, _layout(("A1", "A2", "E"), d_e), ["A2", "E"])
-    return ReducedAttack(p0, reverse @ rewind.reshape(4 * d_e, 2))
+    return ReducedAttack(p0, reverse @ build_rewind(attack))
 
 
 def _round_vector(attack: ReducedAttack, name: str) -> np.ndarray:

@@ -150,10 +150,11 @@ class ThresholdAtBoundary(RuntimeError):
     """The key rate stayed nonnegative on the whole domain [0, 1/2]."""
 
     def __init__(self, boundary_rate: float):
-        super().__init__(
-            f"no sign change on [0, 0.5]: key rate at the boundary is {boundary_rate}"
-        )
+        super().__init__(f"no sign change on [0, 0.5]: key rate at the boundary is {boundary_rate}")
         self.boundary_rate = boundary_rate
+
+    def __reduce__(self):  # copy and pickle rebuild from the rate: args holds the formatted message
+        return type(self), (self.boundary_rate,), self.__dict__
 
 
 def continuity_bound(eps: float) -> float:
@@ -205,12 +206,12 @@ def resend_entropy_bound(s_tau: float, q: float) -> tuple[float, str]:
     s_tau - delta applies; otherwise concavity alone gives the floor
     branch s_tau / 2. The two branches agree at the crossover.
     """
-    s_tau = _check_range("s_tau", s_tau, 0.0, 1.0)
     return _resend_bound(s_tau, continuity_penalty(q))
 
 
 def _resend_bound(s_tau: float, delta: float) -> tuple[float, str]:
-    """:func:`resend_entropy_bound` at a checked ``s_tau`` and the penalty ``delta``."""
+    """The one checked f rule: :func:`resend_entropy_bound` at ``s_tau`` in [0, 1] and a penalty ``delta``."""
+    s_tau = _check_range("s_tau", s_tau, 0.0, 1.0)
     if s_tau >= 2.0 * delta:
         return s_tau - delta, MAIN_BRANCH
     return 0.5 * s_tau, FLOOR_BRANCH
@@ -222,7 +223,7 @@ def _point(q: float, model: QxModel) -> tuple[float, float, float, float, float,
     q_x = model.q_x(q)
     s_tau = reflect_entropy_bound(q_x)
     delta = continuity_penalty(q)
-    g, branch = _resend_bound(_check_range("s_tau", s_tau, 0.0, 1.0), delta)
+    g, branch = _resend_bound(s_tau, delta)
     return q, q_x, 4.0 * q * (1.0 - q), delta, s_tau, branch, g, g - binary_entropy(q)
 
 

@@ -40,11 +40,11 @@ from .attacks import (
     simulate_sqkd,
 )
 from .keyrate import (
+    _resend_bound,
     continuity_bound,
     explicit,
     key_rate,
     reflect_entropy_bound,
-    resend_entropy_bound,
 )
 from .linalg import (
     _check_integer,
@@ -330,14 +330,14 @@ def epsilon_residual(diag: SymmetricAttackDiagnostics) -> float:
 def main_bound_residual(diag: SymmetricAttackDiagnostics) -> float:
     """Violation of the key-round entropy bound and of the final rate bound.
 
-    Checks S(A1^Z|E)_resend >= resend_entropy_bound(exact S_reflect, Q)
-    and that the analytic rate never exceeds the simulated true rate
-    S(A1^Z|E)_resend - H(A1^Z|B^Z).
+    Checks S(A1^Z|E)_resend >= f(exact S_reflect, delta(Q)), with delta
+    the penalty of the analytic rate's own report, and that the analytic
+    rate never exceeds the simulated true rate S(A1^Z|E)_resend - H(A1^Z|B^Z).
     """
-    f_value, _ = resend_entropy_bound(diag.s_reflect, diag.q)
-    analytic = key_rate(diag.q, explicit(_folded(diag.q_x))).r
+    analytic = key_rate(diag.q, explicit(_folded(diag.q_x)))
+    f_value, _ = _resend_bound(diag.s_reflect, analytic.delta)
     true_rate = diag.s_resend - diag.h_key_given_b
-    return _violation(f_value - diag.s_resend, analytic - true_rate)
+    return _violation(f_value - diag.s_resend, analytic.r - true_rate)
 
 
 def check_thm1_equivalence(

@@ -287,8 +287,11 @@ def forward_map_by_kron(attack):
     """Reference forward map T -> T (x) E, the ancilla starting in |0>."""
     if isinstance(attack, CollectiveAttack):
         return attack.u_forward @ np.kron(np.eye(2), basis_state(attack.d_e, 0).reshape(-1, 1))
-    # the normal form's two-dimensional ancilla sits in the first two levels of E
-    return np.kron(np.eye(2), np.eye(attack.d_e)[:, :2]) @ forward_isometry(attack)
+    # the normal form's two-dimensional ancilla sits in the first two levels of E: take those
+    # levels of F and embed them here, so the reference does not rely on F's zero rows
+    f = forward_isometry(attack).reshape(2, attack.d_e, 2)
+    assert not np.any(f[:, 2:, :])
+    return np.kron(np.eye(2), np.eye(attack.d_e)[:, :2]) @ f[:, :2, :].reshape(4, 2)
 
 
 def two_way_round_by_kron(attack, forward_state, lay, op):
@@ -576,6 +579,59 @@ def test_rewind_degenerate_columns(q0, q1, eta0, eta1):
         assert trace_distance(lhs, rhs) < EXACT
 
 
+def forward_two_level(attack):
+    """Reference (T, ancilla, input) entries of F on the normal form's two-level ancilla, from
+    the attack's parameters."""
+    e = np.array([attack.eta0, math.sqrt(max(0.0, 1.0 - abs(attack.eta0) ** 2))], dtype=complex)
+    f = np.array([attack.eta1, math.sqrt(max(0.0, 1.0 - abs(attack.eta1) ** 2))], dtype=complex)
+    out = np.zeros((2, 2, 2), dtype=complex)
+    out[0, 0, 0] = attack.q0
+    out[1, :, 0] = math.sqrt(max(0.0, 1.0 - attack.q0**2)) * e
+    out[0, :, 1] = math.sqrt(max(0.0, 1.0 - attack.q1**2)) * f
+    out[1, 0, 1] = attack.q1
+    return out
+
+
+def rewind_by_padding(attack):
+    """Reference rewind: its 8 rows on (A1, A2) (x) C^2, then zero-padded into E."""
+    f = forward_two_level(attack)
+    columns = []
+    for t, fallback in ((0, 0), (1, 6)):
+        column = np.zeros((2, 2, 2), dtype=complex)  # (A1, A2, ancilla)
+        column[:, t, :] = f[t].T
+        norm = float(np.linalg.norm(column))
+        columns.append(column.reshape(8) / norm if norm > 1e-12 else basis_state(8, fallback))
+    padded = np.zeros((4, attack.d_e, 2), dtype=complex)
+    padded[:, :2, :] = np.column_stack(columns).reshape(4, 2, 2)
+    return padded.reshape(4 * attack.d_e, 2)
+
+
+@pytest.mark.parametrize("d_e", [2, 3, 4, 8])
+@pytest.mark.parametrize("case", ["random", "q0=0", "q1=0"])
+def test_forward_and_rewind_on_e_equal_the_padded_two_level_construction(d_e, case):
+    rng = np.random.default_rng(700 + d_e)
+    u = haar_random_unitary(2 * d_e, rng)
+    attack = {
+        "random": random_restricted_attack(d_e, rng),
+        "q0=0": RestrictedAttack(0.0, 1.0, 0.0, 0.3 + 0.2j, u, d_e),  # the |00> column falls back
+        "q1=0": RestrictedAttack(1.0, 0.0, 0.7j, 0.0, u, d_e),  # the |11> column falls back
+    }[case]
+    forward = forward_isometry(attack)
+    assert forward.shape == (2 * d_e, 2)
+    forward = forward.reshape(2, d_e, 2)
+    assert np.array_equal(forward[:, :2, :], forward_two_level(attack))
+    assert not np.any(forward[:, 2:, :])  # the rows beyond E's first two levels are exactly zero
+    expected = rewind_by_padding(attack)
+    rewind = build_rewind(attack)
+    assert rewind.shape == (4 * d_e, 2)
+    assert np.array_equal(rewind, expected)
+    reverse = embed_operator(attack.u, layout(("A1", 2), ("A2", 2), ("E", d_e)), ["A2", "E"])
+    assert np.array_equal(derive_reduced_attack(attack).v, reverse @ expected)
+    if case != "random":
+        vanished, ket = (0, 0) if case == "q0=0" else (1, 3 * d_e)
+        assert np.array_equal(rewind[:, vanished], basis_state(4 * d_e, ket))
+
+
 def test_derive_reduced_attack_weight():
     attack = hand_attack()
     reduced = derive_reduced_attack(attack)
@@ -689,6 +745,20 @@ def test_reduced_round_states_decomposition():
         d_e = reduced.d_e
         block = resend_state.matrix[:d_e, d_e:]
         assert np.max(np.abs(block)) < EXACT
+
+
+def test_reduced_round_states_refuses_a_broken_decomposition():
+    # the resend state must be the equal mixture of the reflect and aux states: a held aux
+    # vector with one entry moved by 1e-6, then renormalized, breaks it and trips the gate
+    reduced = derive_reduced_attack(random_symmetric_attack(0.05, np.random.default_rng(3), 2))
+    reduced_round_states(reduced)  # intact, it passes, and holds the aux vector
+    aux = np.array(_round_vector(reduced, "aux"))
+    aux[0] += 1e-6
+    aux /= np.linalg.norm(aux)
+    aux.setflags(write=False)
+    reduced._maps["aux"] = aux
+    with pytest.raises(ArithmeticError, match="^round-state decomposition residual "):
+        reduced_round_states(reduced)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.02, 0.1, 0.3])

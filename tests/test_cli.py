@@ -292,10 +292,13 @@ def test_usage_errors_exit_two(capsys):
         ["curve", "--q-max", "inf", "--qx-model", "equal"],
         ["threshold", "--qx-model", "explicit:nan"],
         ["threshold", "--qx-model", "equal", "--tol", "nan"],
+        ["verify", "--trials", "1", "--seed", "1", "--d-e", "2,x"],  # a d_E list that does not parse
     ]
+    errors = {}
     for argv in cases:
         assert main(argv) == 2, argv
-        capsys.readouterr()
+        errors[" ".join(argv)] = capsys.readouterr().err
+    assert errors["verify --trials 1 --seed 1 --d-e 2,x"] == "error: cannot parse ancilla dimension list '2,x'\n"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@
 The frozen reference numbers in this module were computed with an
 independent script using only the math stdlib, then pasted here.
 """
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +70,11 @@ def test_qx_model_parsing_round_trips():
     with pytest.raises(ValueError):
         QxModel("half", float("nan"))
     assert QxModel("half", 0.0) == HALF
+    # a kind the constructor does not know names the ones it does
+    with pytest.raises(ValueError) as info:
+        QxModel("bogus")
+    kinds = "('equal', 'depolarizing', 'half', 'explicit')"
+    assert str(info.value) == f"unknown model kind 'bogus'; expected one of {kinds}"
 
 
 def test_qx_model_values():
@@ -407,6 +414,21 @@ def test_threshold_at_boundary_attributes():
     # the range the penalty alone exceeds the reflect bound, so r(0.5) < 0
     for model in (EQUAL, DEPOLARIZING, HALF, explicit(0.0), explicit(0.5)):
         assert key_rate(0.5, model).r < 0.0
+
+
+@pytest.mark.parametrize(
+    "route",
+    [copy.copy, copy.deepcopy, lambda err: pickle.loads(pickle.dumps(err))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_threshold_at_boundary_survives_copy_and_pickle(route):
+    # BaseException rebuilds through __init__(*args), and args holds the formatted message:
+    # the copy's message once read its prefix twice
+    err = ThresholdAtBoundary(0.25)
+    copied = route(err)
+    assert type(copied) is ThresholdAtBoundary
+    assert str(copied) == str(err) == "no sign change on [0, 0.5]: key rate at the boundary is 0.25"
+    assert copied.boundary_rate == 0.25
 
 
 def test_keyrate_curve_small_grid():
