@@ -33,7 +33,6 @@ from .keyrate import (
     HALF,
     KeyRateReport,
     QxModel,
-    ThresholdAtBoundary,
     continuity_bound,
     continuity_penalty,
     explicit,

@@ -97,8 +97,9 @@ def _frozen_isometry(m: np.ndarray, shape: tuple[int, int], what: str) -> np.nda
     m = np.array(m, dtype=complex)
     if m.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {m.shape}")
-    if not _isometry_residual(m) <= TOL.isometry:
-        raise ValueError(f"{what} is not an isometry within tolerance")
+    residual = _isometry_residual(m)
+    if not residual <= TOL.isometry:
+        raise ValueError(f"{what} is not an isometry within tolerance (residual {residual:.3e})")
     m.setflags(write=False)
     return m
 
@@ -130,21 +131,24 @@ class CollectiveAttack:
         object.__setattr__(self, "u_forward", _frozen_isometry(self.u_forward, square, "u_forward"))
         object.__setattr__(self, "u_reverse", _frozen_isometry(self.u_reverse, square, "u_reverse"))
 
+    def __reduce__(self):  # copy and pickle rebuild through the gates, not through __dict__
+        return CollectiveAttack, (self.u_forward, self.u_reverse, self.d_e)
+
 
 @dataclass(frozen=True, eq=False)
 class RestrictedAttack:
     """Normal-form attack (q0, q1, eta0, eta1, U).
 
-    Forward direction: the biasing isometry of :func:`forward_isometry`,
+    Forward direction: the biasing isometry F of :func:`forward_isometry`,
     which keeps |0> with amplitude q0 and |1> with amplitude q1 and leaks
     the flip events into E's first two levels, in states set by eta0 and
     eta1. Reverse direction: the arbitrary unitary U on T (x) E.
     The parameters must satisfy
 
-        q0 * eta1 * sqrt(1 - q1^2) + q1 * conj(eta0) * sqrt(1 - q0^2) = 0.
+        q0 * eta1 * sqrt(1 - q1^2) + q1 * conj(eta0) * sqrt(1 - q0^2) = 0,
 
-    The left side is the off-diagonal entry of F*F, F the forward isometry,
-    so its modulus is held to the bound of U's V*V = I gate, TOL.isometry.
+    the off-diagonal entry of F*F - I: the constructor builds F and holds it
+    read-only, behind the gate F*F = I at U's bound, TOL.isometry.
     """
 
     q0: float
@@ -153,6 +157,7 @@ class RestrictedAttack:
     eta1: complex
     u: np.ndarray
     d_e: int
+    _f: np.ndarray = field(init=False, repr=False, compare=False)
     _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -164,13 +169,19 @@ class RestrictedAttack:
             value = _number(name, getattr(self, name), complex, "a number")
             _check_range(f"|{name}|", abs(value), 0.0, 1.0)
             object.__setattr__(self, name, value)
-        residual = abs(
-            self.q0 * self.eta1 * math.sqrt(max(0.0, 1.0 - self.q1**2))
-            + self.q1 * np.conj(self.eta0) * math.sqrt(max(0.0, 1.0 - self.q0**2))
-        )
-        if not residual <= TOL.isometry:
-            raise ValueError(f"attack parameters violate the constraint, residual {residual:.3e}")
+        e = np.array([self.eta0, math.sqrt(max(0.0, 1.0 - abs(self.eta0) ** 2))], dtype=complex)
+        f = np.array([self.eta1, math.sqrt(max(0.0, 1.0 - abs(self.eta1) ** 2))], dtype=complex)
+        out = np.zeros((2, d_e, 2), dtype=complex)  # (T, E, input)
+        out[0, 0, 0] = self.q0
+        out[1, :2, 0] = math.sqrt(max(0.0, 1.0 - self.q0**2)) * e
+        out[0, :2, 1] = math.sqrt(max(0.0, 1.0 - self.q1**2)) * f
+        out[1, 0, 1] = self.q1
+        what = "F (the parameter constraint F*F = I)"
+        object.__setattr__(self, "_f", _frozen_isometry(out.reshape(2 * d_e, 2), (2 * d_e, 2), what))
         object.__setattr__(self, "u", _frozen_isometry(self.u, (2 * d_e, 2 * d_e), "u"))
+
+    def __reduce__(self):  # as CollectiveAttack's
+        return RestrictedAttack, (self.q0, self.q1, self.eta0, self.eta1, self.u, self.d_e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +197,7 @@ class ReducedAttack:
 
     p0: float
     v: np.ndarray
+    d_e: int = field(init=False)
     _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -193,12 +205,11 @@ class ReducedAttack:
         m = np.array(self.v, dtype=complex)
         if m.ndim != 2 or m.shape[0] % 4:
             raise ValueError(f"attack isometry has invalid shape {m.shape}")
-        d_e = _check_d_e(m.shape[0] // 4)
-        object.__setattr__(self, "v", _frozen_isometry(m, (4 * d_e, 2), "v"))
+        object.__setattr__(self, "d_e", _check_d_e(m.shape[0] // 4))
+        object.__setattr__(self, "v", _frozen_isometry(m, (4 * self.d_e, 2), "v"))
 
-    @property
-    def d_e(self) -> int:
-        return self.v.shape[0] // 4
+    def __reduce__(self):  # as CollectiveAttack's
+        return ReducedAttack, (self.p0, self.v)
 
 
 class NoiseStats(namedtuple("NoiseStats", "q_fwd q_rev q_x")):
@@ -245,22 +256,14 @@ def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.nd
 
 
 def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
-    """The forward channel isometry F from T into T (x) E, a (2 d_e, 2) matrix.
+    """The forward channel isometry F from T into T (x) E, a read-only (2 d_e, 2) matrix.
 
     F|0> = q0 |0,0> + sqrt(1-q0^2) |1,e> and
     F|1> = sqrt(1-q1^2) |0,f> + q1 |1,0>, with |e> and |f> the ancilla
     states set by eta0 and eta1 in E's first two levels; its other rows
-    are zero. The constraint makes the columns orthonormal: F*F = I.
+    are zero. The attack built it once and gated the constraint as F*F = I.
     """
-    d_e = _check_attack(attack, RestrictedAttack).d_e
-    e = np.array([attack.eta0, math.sqrt(max(0.0, 1.0 - abs(attack.eta0) ** 2))], dtype=complex)
-    f = np.array([attack.eta1, math.sqrt(max(0.0, 1.0 - abs(attack.eta1) ** 2))], dtype=complex)
-    out = np.zeros((2, d_e, 2), dtype=complex)  # (T, E, input)
-    out[0, 0, 0] = attack.q0
-    out[1, :2, 0] = math.sqrt(max(0.0, 1.0 - attack.q0**2)) * e
-    out[0, :2, 1] = math.sqrt(max(0.0, 1.0 - attack.q1**2)) * f
-    out[1, 0, 1] = attack.q1
-    return out.reshape(2 * d_e, 2)
+    return _check_attack(attack, RestrictedAttack)._f
 
 
 @functools.cache
@@ -283,7 +286,7 @@ def _round_map(attack, op: str) -> np.ndarray:
         if isinstance(attack, CollectiveAttack):
             forward, u_rev = attack.u_forward[:, [0, attack.d_e]], attack.u_reverse
         else:
-            forward, u_rev = forward_isometry(attack), attack.u
+            forward, u_rev = attack._f, attack.u
         psi, lay = bob_operation(forward.reshape(-1), _layout(("T", "E", "A"), attack.d_e), op)
         # u_rev's input axes take psi's T and E axes (of T, B, E, A); its output axes return to their places
         u_tensor = u_rev.reshape(2, attack.d_e, 2, attack.d_e)

@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Sequence
 
-from .keyrate import KeyRateReport, QxModel, ThresholdAtBoundary, key_rate, keyrate_curve, noise_threshold
+from .keyrate import KeyRateReport, QxModel, key_rate, keyrate_curve, noise_threshold
 from .verification import DEFAULT_D_E, VerifyReport, run_all_checks
 
 __all__ = ["main", "build_parser"]
@@ -155,7 +155,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ThresholdAtBoundary, ArithmeticError, MemoryError, OSError) as exc:
+    except (ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

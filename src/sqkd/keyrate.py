@@ -35,7 +35,6 @@ __all__ = [
     "HALF",
     "explicit",
     "KeyRateReport",
-    "ThresholdAtBoundary",
     "continuity_bound",
     "continuity_penalty",
     "reflect_entropy_bound",
@@ -146,17 +145,6 @@ class KeyRateReport(namedtuple("KeyRateReport", "q q_x epsilon delta s_tau_bound
         return dict(zip(self.COLUMNS, self))
 
 
-class ThresholdAtBoundary(RuntimeError):
-    """The key rate stayed nonnegative on the whole domain [0, 1/2]."""
-
-    def __init__(self, boundary_rate: float):
-        super().__init__(f"no sign change on [0, 0.5]: key rate at the boundary is {boundary_rate}")
-        self.boundary_rate = boundary_rate
-
-    def __reduce__(self):  # copy and pickle rebuild from the rate: args holds the formatted message
-        return type(self), (self.boundary_rate,), self.__dict__
-
-
 def continuity_bound(eps: float) -> float:
     """Entropy-difference bound eps + (1+eps) h(eps/(1+eps)).
 
@@ -242,8 +230,8 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
 
     Bisects the indices of a grid of step 1e-3 over [0, 1/2] down to the cell
     where r(Q) turns negative, then that cell down to width ``tol`` (or to two
-    adjacent floats) and returns its midpoint. Raises :class:`ThresholdAtBoundary`
-    if r(1/2) >= 0, ArithmeticError if r(0) <= 0 (no threshold exists) and
+    adjacent floats) and returns its midpoint. Raises ArithmeticError if r(0) <= 0
+    (no threshold exists) or r(1/2) >= 0, which no model reaches, and
     ValueError for a ``QxModel`` subclass, whose ``q_x`` may break what the
     bisection needs: r is nonincreasing on [0, 1/2]. Each fixed ``q_x`` is
     nondecreasing there and stays in [0, 1/2], where h rises, and ``explicit``
@@ -259,8 +247,8 @@ def noise_threshold(model: QxModel, tol: float = 1e-6) -> float:
     r_0, r_end = (_point(i * _GRID_STEP, model)[-1] for i in (0, steps))
     if r_0 <= 0.0:
         raise ArithmeticError(f"key rate at Q=0 is {r_0}, not positive")
-    if r_end >= 0.0:
-        raise ThresholdAtBoundary(r_end)
+    if r_end >= 0.0:  # unreachable: delta(1/2) = 3/2 forces the floor branch, so r(1/2) = s_tau/2 - 1 <= -1/2
+        raise ArithmeticError(f"no sign change on [0, 0.5]: key rate at the boundary is {r_end}")
     # the first grid index in [1, steps] with a negative rate
     hi = bisect_left(range(steps), True, 1, steps, key=lambda i: _point(i * _GRID_STEP, model)[-1] < 0.0)
     lo, hi = (hi - 1) * _GRID_STEP, hi * _GRID_STEP

@@ -160,6 +160,9 @@ class DensityOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    def __reduce__(self):  # copy and pickle rebuild through the gates, a pure state from its vector
+        return DensityOperator, (self.matrix if self._vector is None else self._vector, self.layout)
+
     @classmethod
     def _trusted(cls, matrix: np.ndarray, lay: SubsystemLayout) -> "DensityOperator":
         """Wrap a matrix known to be a density operator on ``lay``, without checks."""

@@ -110,8 +110,10 @@ def trial_rng(seed: int, suite: int, trial: int) -> np.random.Generator:
     """Independent generator for one verification trial.
 
     Philox (counter-based, 64-bit) keyed by (seed, suite, trial), each a nonnegative
-    integer (3.0 is 3; a fraction, NaN or inf raises ValueError), so streams never overlap
-    across suites or trials and a single trial can be replayed without running the others.
+    integer (3.0 is 3; a fraction, NaN or inf raises ValueError), so a single trial can be
+    replayed without running the others. Within one seed, suites and trials below 2**32 key
+    disjoint streams. Two seeds need not: SeedSequence packs each component into 32-bit
+    words and pads with zeros, so (A + s * 2**32, t, 0) keys the stream of (A, s, t).
     """
     key = (seed, suite, trial)
     key = [v if type(v) is int and v >= 0 else _check_integer("seed component", v, 0) for v in key]

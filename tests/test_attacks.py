@@ -1,5 +1,7 @@
 """Tests for protocol simulation, attack types, and the reductions."""
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,7 +92,8 @@ def test_collective_attack_validation():
 def test_restricted_attack_constraint():
     attack = hand_attack()
     assert attack.q0 == HAND_Q0 and attack.q1 == HAND_Q1
-    with pytest.raises(ValueError):
+    # the constraint is the gate F*F = I on the forward isometry, named with its residual
+    with pytest.raises(ValueError, match=r"parameter constraint .* not an isometry within tolerance \(residual "):
         RestrictedAttack(HAND_Q0, HAND_Q1, HAND_ETA0, -HAND_ETA1, np.eye(4), 2)
     with pytest.raises(ValueError):
         RestrictedAttack(1.2, 0.0, 0.0, 0.0, np.eye(4), 2)
@@ -196,6 +199,21 @@ def test_forward_isometry_entries():
     assert np.allclose(f[:, 0], expected0)
     assert np.allclose(f[:, 1], expected1)
     assert np.max(np.abs(f.conj().T @ f - np.eye(2))) < EXACT
+
+
+def test_forward_isometry_is_built_once_and_held_read_only():
+    attack = hand_attack(d_e=3)
+    f = forward_isometry(attack)
+    assert forward_isometry(attack) is f
+    with pytest.raises(ValueError):
+        f[0, 0] = 0.0
+    # the explicit construction of test_forward_isometry_entries, on E's first two of three levels
+    s0, s1 = math.sqrt(1.0 - HAND_Q0**2), math.sqrt(1.0 - HAND_Q1**2)
+    expected = np.zeros((2, 3, 2), dtype=complex)  # (T, E, input)
+    expected[0, 0, 0], expected[1, 0, 1] = HAND_Q0, HAND_Q1
+    expected[1, :2, 0] = s0 * np.array([HAND_ETA0, math.sqrt(1.0 - abs(HAND_ETA0) ** 2)])
+    expected[0, :2, 1] = s1 * np.array([HAND_ETA1, math.sqrt(1.0 - abs(HAND_ETA1) ** 2)])
+    assert np.array_equal(f, expected.reshape(6, 2))
 
 
 def test_bob_operation_measure_resend_copies_key_bit():
@@ -865,3 +883,44 @@ def test_a_wrong_attack_form_is_a_type_error(fn, form):
     attack = _attack_form(form)
     with pytest.raises(TypeError, match=f"^unsupported attack type {type(attack).__name__}$"):
         fn(attack)
+
+
+def _copied_form(name):
+    if name == "from_state":
+        return simulate_sqkd(random_collective_attack(2, np.random.default_rng(24)), alice_states()[2], REFLECT)
+    if name == "partial_trace":
+        return partial_trace(simulate_entangled_sqkd(_attack_form("collective"), MEASURE_RESEND), ("A1", "E"))
+    attack = _attack_form(name)
+    estimate_noise_stats(attack)  # holds its round maps or vectors
+    return attack
+
+
+_HELD_ARRAYS = {
+    "collective": ("u_forward", "u_reverse"),
+    "restricted": ("u", "_f"),
+    "reduced": ("v",),
+    "from_state": ("matrix", "_vector"),
+    "partial_trace": ("matrix",),
+}
+
+
+@pytest.mark.parametrize(
+    "route", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"]
+)
+@pytest.mark.parametrize("form", list(_HELD_ARRAYS))
+def test_copies_and_pickles_rebuild_through_the_constructor(form, route):
+    # frozen dataclasses once copied through __dict__, skipping the gates: a deep copy's or an
+    # unpickled object's arrays were writable, and the original's held maps came along
+    original = _copied_form(form)
+    copied = route(original)
+    assert type(copied) is type(original) and copied is not original
+    for name in _HELD_ARRAYS[form]:
+        assert np.array_equal(getattr(copied, name), getattr(original, name))
+        assert not getattr(copied, name).flags.writeable
+    if isinstance(copied, DensityOperator):
+        assert copied.layout == original.layout
+        assert (copied._vector is None) == (original._vector is None)
+    else:
+        assert copied.d_e == original.d_e and copied._maps == {}
+        assert estimate_noise_stats(copied) == estimate_noise_stats(original)
+        assert copied._maps.keys() == original._maps.keys()

@@ -339,6 +339,16 @@ def test_threshold_without_positive_rate_exits_one(capsys):
     assert err == "error: key rate at Q=0 is 0.0, not positive\n"
 
 
+def test_threshold_at_the_boundary_exits_one(capsys, monkeypatch):
+    # no model reaches it (test_no_model_reaches_the_threshold_boundary); shifted up by 1,
+    # equal's rate is exactly 0 at Q = 1/2
+    point = sqkd.keyrate._point
+    monkeypatch.setattr(sqkd.keyrate, "_point", lambda q, m: (*point(q, m)[:-1], point(q, m)[-1] + 1.0))
+    code, out, err = run_cli(capsys, "threshold", "--qx-model", "equal")
+    assert (code, out) == (1, "")
+    assert err == "error: no sign change on [0, 0.5]: key rate at the boundary is 0.0\n"
+
+
 def test_grid_too_large_to_allocate_exits_one(capsys):
     # 10^15 float64 points are 8 PB, beyond any 64-bit address space: the allocation fails at once
     code, out, err = run_cli(capsys, "curve", "--qx-model", "equal", "--steps", "1000000000000000")

@@ -3,9 +3,7 @@
 The frozen reference numbers in this module were computed with an
 independent script using only the math stdlib, then pasted here.
 """
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from sqkd.keyrate import (
     MAIN_BRANCH,
     KeyRateReport,
     QxModel,
-    ThresholdAtBoundary,
     continuity_bound,
     continuity_penalty,
     explicit,
@@ -292,7 +289,7 @@ def _outcome(search, model, tol):
     """The value ``search`` returns as hex, or the type and message of what it raises."""
     try:
         return search(model, tol).hex()
-    except (ArithmeticError, RuntimeError, ValueError) as err:
+    except (ArithmeticError, ValueError) as err:
         return type(err), str(err)
 
 
@@ -309,7 +306,7 @@ def test_threshold_at_the_boundary_matches_the_grid_scan(monkeypatch):
     point = sqkd.keyrate._point
     monkeypatch.setattr(sqkd.keyrate, "_point", lambda q, m: (*point(q, m)[:-1], point(q, m)[-1] + 1.0))
     outcome = _outcome(noise_threshold, EQUAL, 1e-6)
-    assert outcome[0] is ThresholdAtBoundary
+    assert outcome == (ArithmeticError, "no sign change on [0, 0.5]: key rate at the boundary is 0.0")
     assert outcome == _outcome(scan_threshold, EQUAL, 1e-6)
 
 
@@ -406,29 +403,13 @@ def test_model_name_is_not_a_model():
             call()
 
 
-def test_threshold_at_boundary_attributes():
-    err = ThresholdAtBoundary(0.125)
-    assert err.boundary_rate == 0.125
-    assert "0.125" in str(err)
-    # the boundary case cannot occur for any admissible model: at the top of
-    # the range the penalty alone exceeds the reflect bound, so r(0.5) < 0
-    for model in (EQUAL, DEPOLARIZING, HALF, explicit(0.0), explicit(0.5)):
-        assert key_rate(0.5, model).r < 0.0
-
-
-@pytest.mark.parametrize(
-    "route",
-    [copy.copy, copy.deepcopy, lambda err: pickle.loads(pickle.dumps(err))],
-    ids=["copy", "deepcopy", "pickle"],
-)
-def test_threshold_at_boundary_survives_copy_and_pickle(route):
-    # BaseException rebuilds through __init__(*args), and args holds the formatted message:
-    # the copy's message once read its prefix twice
-    err = ThresholdAtBoundary(0.25)
-    copied = route(err)
-    assert type(copied) is ThresholdAtBoundary
-    assert str(copied) == str(err) == "no sign change on [0, 0.5]: key rate at the boundary is 0.25"
-    assert copied.boundary_rate == 0.25
+@given(st.sampled_from([EQUAL, DEPOLARIZING, HALF]) | st.floats(0.0, 0.5).map(explicit))
+def test_no_model_reaches_the_threshold_boundary(model):
+    # 2 delta(1/2) = 3 exceeds s_tau <= 1, so the floor branch gives r(1/2) = s_tau / 2 - h(1/2)
+    # <= -1/2: the boundary guard of noise_threshold cannot fire for any admissible model
+    report = key_rate(0.5, model)
+    assert report.delta == 1.5 and report.branch == FLOOR_BRANCH
+    assert report.r == report.s_tau_bound / 2 - 1 <= -0.5
 
 
 def test_keyrate_curve_small_grid():

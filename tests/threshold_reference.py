@@ -7,7 +7,6 @@ where it turns negative, and bisects that cell in floats exactly as
 are what the bisecting search must reproduce on every monotone rate.
 """
 import sqkd.keyrate
-from sqkd.keyrate import ThresholdAtBoundary
 
 GRID_STEP = 1e-3
 MONOTONE_SLACK = 1e-12
@@ -29,7 +28,7 @@ def scan_threshold(model, tol=1e-6):
             )
     bracket = next((i for i in range(steps) if rates[i] >= 0.0 > rates[i + 1]), None)
     if bracket is None:
-        raise ThresholdAtBoundary(rates[-1])
+        raise ArithmeticError(f"no sign change on [0, 0.5]: key rate at the boundary is {rates[-1]}")
     lo, hi = grid[bracket], grid[bracket + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
