@@ -20,9 +20,10 @@ between them:
   (:func:`build_rewind`) converts a restricted attack into this form with
   exactly the same joint state on (A1, A2, B, E). Its three round states are
   read-only vectors, each built on first read and held, as the other two
-  forms hold their round maps; key states and noise statistics are
-  Gram-product marginals of them, and only :func:`simulate_reduced` forms
-  a full density operator.
+  forms hold their round maps; key states and noise statistics are read
+  straight off their rows (a block of a key state is one product of a
+  round vector's A1 = a rows, a probability a sum of |psi|^2 over E), and
+  only :func:`simulate_reduced` forms a full density operator.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
 simulated round stays pure: each attack holds its two-way round map, and the
@@ -51,7 +52,6 @@ from .linalg import (
     embed_operator,
     haar_random_unitary,
     layout,
-    measure_register,
 )
 from .tolerances import DEFAULT as TOL
 
@@ -434,12 +434,14 @@ def _round_vector(attack: ReducedAttack, name: str) -> np.ndarray:
     return attack._maps[name]
 
 
-def _round_marginal(attack: ReducedAttack, name: str, labels: tuple[str, ...]) -> np.ndarray:
-    return _pure_marginal(_round_vector(attack, name), _layout(_REDUCED_LABELS, attack.d_e), labels)
-
-
 def _round_state(attack: ReducedAttack, name: str, labels: tuple[str, ...]) -> DensityOperator:
-    return DensityOperator._trusted(_round_marginal(attack, name, labels), _layout(labels, attack.d_e))
+    psi, lay = _round_vector(attack, name), _layout(_REDUCED_LABELS, attack.d_e)
+    return DensityOperator._trusted(_pure_marginal(psi, lay, labels), _layout(labels, attack.d_e))
+
+
+def _resend_distribution(attack: ReducedAttack) -> np.ndarray:
+    """P(A1, A2, B) on resend rounds: the resend vector's re^2 + im^2 (its float view) summed over E."""
+    return np.square(_round_vector(attack, MEASURE_RESEND).view(float)).reshape(2, 2, 2, -1).sum(axis=3)
 
 
 def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
@@ -465,17 +467,19 @@ def reduced_round_states(
     run whose preparation carries a flipped sign on the |11> branch. The
     resend state must equal the equal mixture of the other two (the B
     register decoheres exactly the branch coherence the sign flip
-    negates); a residual above 1e-10 raises ArithmeticError. Each is the A1
-    Z pinch of a round's (A1, E) marginal, which commutes with tracing out A2, B.
+    negates); a residual above 1e-10 raises ArithmeticError. Each state is
+    block-diagonal in A1, its A1 = a block R_a^T conj(R_a) with R_a the round
+    vector's A1 = a rows as an (A2 B) x E matrix: one stacked product.
     """
-    reflect, resend, aux = (
-        measure_register(_round_state(attack, name, ("A1", "E")), "A1", "Z")
-        for name in (REFLECT, MEASURE_RESEND, _AUX)
-    )
-    residual = np.max(np.abs(resend.matrix - 0.5 * reflect.matrix - 0.5 * aux.matrix))
+    rows = np.stack([_round_vector(attack, n) for n in (REFLECT, MEASURE_RESEND, _AUX)]).reshape(3, 2, 4, -1)
+    blocks, d_e = np.swapaxes(rows, 2, 3) @ rows.conj(), rows.shape[3]  # blocks: (round, A1, E, E)
+    keys = np.zeros((3, 2, d_e, 2, d_e), dtype=complex)  # (round, A1, E, A1, E)
+    keys[:, 0, :, 0], keys[:, 1, :, 1] = blocks[:, 0], blocks[:, 1]
+    reflect, resend, aux = keys.reshape(3, 2 * d_e, 2 * d_e)
+    residual = np.max(np.abs(resend - 0.5 * reflect - 0.5 * aux))
     if not residual <= TOL.decomposition:
         raise ArithmeticError(f"round-state decomposition residual {residual:.3e}")
-    return reflect, resend, aux
+    return tuple(DensityOperator._trusted(k, _layout(("A1", "E"), d_e)) for k in (reflect, resend, aux))
 
 
 def estimate_noise_stats(attack) -> NoiseStats:
@@ -484,18 +488,17 @@ def estimate_noise_stats(attack) -> NoiseStats:
     q_fwd is the probability that B's measured bit differs from A's key
     bit, q_rev the joint probability that the returning qubit's Z value
     differs from B's bit, and q_x the probability that the two X measurements on
-    reflect rounds disagree. All three are Gram marginals of the attack's exact
-    pure round states, averaging uniformly over A's preparations where relevant.
+    reflect rounds disagree. A reduced attack's are read off its round vectors:
+    P(A1, A2, B) is the resend vector's |psi|^2 summed over E, and q_x =
+    1/2 - Re(<m3|m0> + <m2|m1>), m_k the reflect vector's (A1 A2) = k row. A two-way
+    attack's are Gram marginals of its pure round states, averaged over A's preparations.
     """
     if isinstance(attack, ReducedAttack):
-        # P(A1, A2, B) on resend rounds; q_x = (1 - Re<X (x) X>) / 2 on reflect rounds
-        resend = _round_marginal(attack, MEASURE_RESEND, ("A1", "A2", "B"))
-        p = np.real(np.diagonal(resend)).reshape(2, 2, 2)
+        p = _resend_distribution(attack)
         q_fwd = p[0, :, 1].sum() + p[1, :, 0].sum()
         q_rev = p[:, 0, 1].sum() + p[:, 1, 0].sum()
-        a1a2 = _round_marginal(attack, REFLECT, ("A1", "A2"))
-        q_x = 0.5 * (1.0 - np.real(np.trace(np.fliplr(a1a2))))
-        return NoiseStats(q_fwd, q_rev, q_x)
+        m = _round_vector(attack, REFLECT).reshape(4, -1)
+        return NoiseStats(q_fwd, q_rev, 0.5 - np.real(np.vdot(m[3], m[0]) + np.vdot(m[2], m[1])))
 
     # A's four preparations through the held round maps, read as marginals on (T, B, E)
     resend, reflect = _round_map(attack, MEASURE_RESEND), _round_map(attack, REFLECT)

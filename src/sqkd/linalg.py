@@ -60,6 +60,7 @@ class SubsystemLayout:
     """
 
     factors: tuple[tuple[str, int], ...]
+    _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # see _planned
 
     def __post_init__(self) -> None:
         labels = [lab for lab, _ in self.factors]
@@ -194,64 +195,72 @@ def _labels(labels: _Labels) -> tuple[str, ...]:
     return (labels,) if isinstance(labels, str) else tuple(labels)
 
 
+def _planned(build, lay: SubsystemLayout, labels):
+    """``build(lay, labels)``, built once and held in ``lay._plans``; invalid labels hold none and raise."""
+    plan = lay._plans.get(key := (build, labels))
+    if plan is None:
+        plan = lay._plans[key] = build(lay, labels)
+    return plan
+
+
+def _embed_plan(lay: SubsystemLayout, labels: tuple[str, ...]):
+    positions = [lay.position(lab) for lab in labels]
+    if repeated := [lab for lab in labels if labels.count(lab) > 1]:
+        raise ValueError(f"label {repeated[0]!r} is named more than once")
+    n, k = len(lay.dims), len(positions)
+    order = positions + [i for i in range(n) if i not in positions]
+    # full's axes: named rows and columns, then the others'; inv[f] is f's place in order
+    inv = [order.index(f) for f in range(n)]
+    axes = [i if i < k else k + i for i in inv] + [k + i if i < k else n + i for i in inv]
+    op_dims, rest_dims = (tuple(lay.dims[i] for i in part) for part in (order[:k], order[k:]))
+    eye = np.eye(math.prod(rest_dims), dtype=complex).reshape(rest_dims * 2)
+    return math.prod(op_dims), op_dims * 2, eye, axes
+
+
 def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: _Labels) -> np.ndarray:
     """Lift an operator acting on the named factors to the full space.
 
     ``op`` must act on the tensor product of the listed factors in the
-    listed order; identity is applied to every other factor.
+    listed order, each named once; identity is applied to every other factor.
     """
-    positions = [lay.position(lab) for lab in _labels(labels)]
-    dims = lay.dims
-    n, k = len(dims), len(positions)
-    rest = [i for i in range(n) if i not in positions]
-    d_act = math.prod(dims[i] for i in positions)
+    d_act, op_dims, eye, axes = _planned(_embed_plan, lay, _labels(labels))
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_act, d_act):
         raise ValueError(f"operator shape {op.shape} does not match factor dimensions {d_act}")
-    rest_dims = tuple(dims[i] for i in rest)
-    eye = np.eye(math.prod(rest_dims), dtype=complex).reshape(rest_dims * 2)
-    full = np.multiply.outer(op.reshape(tuple(dims[i] for i in positions) * 2), eye)
-    # full's axes: named rows and columns, then the others'; inv[f] is f's place in positions + rest
-    inv = [int(i) for i in np.argsort(positions + rest)]
-    axes = [i if i < k else k + i for i in inv] + [k + i if i < k else n + i for i in inv]
-    return full.transpose(axes).reshape(lay.dim, lay.dim)
+    return np.multiply.outer(op.reshape(op_dims), eye).transpose(axes).reshape(lay.dim, lay.dim)
+
+
+def _keep_plan(lay: SubsystemLayout, keep: frozenset[str]):
+    """The kept factors first, the einsum axes and output that trace out the others, and their layout."""
+    if not keep:
+        raise ValueError("keep must name at least one factor")
+    if unknown := keep - set(lay.labels):
+        raise ValueError(f"labels {sorted(unknown)} not in layout {lay.labels}")
+    n, kept = len(lay.factors), [i for i, lab in enumerate(lay.labels) if lab in keep]
+    # einsum axes: a traced factor's column axis is its row axis, so it is summed over
+    axes = [*range(n), *(n + i if i in kept else i for i in range(n))]
+    kept_layout = lay if len(kept) == n else SubsystemLayout(tuple(lay.factors[i] for i in kept))
+    return kept + [i for i in range(n) if i not in kept], axes, kept + [n + i for i in kept], kept_layout
 
 
 def partial_trace(rho: DensityOperator, keep: _Labels) -> DensityOperator:
     """Trace out all factors not named in ``keep``.
 
     The reduced operator keeps the surviving factors in their original
-    order; the trace is preserved exactly.
+    order; the trace is preserved exactly. Keeping every factor returns ``rho``.
     """
-    keep_set = set(_labels(keep))
-    if not keep_set:
-        raise ValueError("keep must name at least one factor")
-    unknown = keep_set - set(rho.layout.labels)
-    if unknown:
-        raise ValueError(f"labels {sorted(unknown)} not in layout {rho.layout.labels}")
-    factors = rho.layout.factors
-    n = len(factors)
-    dims = rho.layout.dims
-    t = rho.matrix.reshape(dims * 2)
-    # einsum: traced factors repeat their row letter on the column side
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = [letters[n + i] if lab in keep_set else row[i] for i, (lab, _) in enumerate(factors)]
-    out = [row[i] for i, (lab, _) in enumerate(factors) if lab in keep_set]
-    out += [col[i] for i, (lab, _) in enumerate(factors) if lab in keep_set]
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), t)
-    kept = tuple(f for f in factors if f[0] in keep_set)
-    lay = rho.layout if len(kept) == n else SubsystemLayout(kept)
+    _, axes, out, lay = _planned(_keep_plan, rho.layout, frozenset(_labels(keep)))
+    if lay is rho.layout:
+        return rho
+    reduced = np.einsum(rho.matrix.reshape(rho.layout.dims * 2), axes, out)
     return DensityOperator._trusted(reduced.reshape(lay.dim, lay.dim), lay)
 
 
 def _pure_marginal(psi: np.ndarray, lay: SubsystemLayout, keep: tuple[str, ...] | set[str]) -> np.ndarray:
     """The marginal matrix on ``keep``, in layout order, of the unit vector ``psi`` on ``lay``."""
     # M is psi with the kept axes first, in layout order; the marginal is M M^dagger
-    kept = sorted(lay.position(lab) for lab in keep)
-    rest = [i for i in range(len(lay.factors)) if i not in kept]
-    t = np.transpose(psi.reshape(lay.dims), kept + rest)
-    m = t.reshape(math.prod(t.shape[: len(kept)]), -1)
+    order, _, _, kept = _planned(_keep_plan, lay, frozenset(keep))
+    m = np.transpose(psi.reshape(lay.dims), order).reshape(kept.dim, -1)
     return m @ m.conj().T
 
 
@@ -417,7 +426,9 @@ def _haar_unitaries(dim: int, rng: np.random.Generator, count: int) -> np.ndarra
 
 def _isometry_residual(m: np.ndarray) -> float:
     """max |M^dagger M - I| over entries: 0 for an isometry, NaN if ``m`` holds a NaN."""
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+    gram = m.conj().T @ m  # a new array: the caller's m stays as it was
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def complete_isometry(columns: np.ndarray) -> np.ndarray:

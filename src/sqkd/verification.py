@@ -23,7 +23,7 @@ from .attacks import (
     CollectiveAttack,
     RestrictedAttack,
     _check_d_e,
-    _round_marginal,
+    _resend_distribution,
     _round_state,
     alice_states,
     build_rewind,
@@ -274,7 +274,7 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     # S(A1^Z|E) = sum_a S(rho_a) - S(rho_0 + rho_1) and td(reflect, aux) is
     # 1/2 sum_a ||rho_a - sigma_a||_1: one eigvalsh over 6 blocks, 3 sums, 2 differences
     key_states = reduced_round_states(reduced)
-    blocks = np.stack([np.einsum("aiaj->aij", k.matrix.reshape(2, d_e, 2, d_e)) for k in key_states])
+    blocks = np.einsum("raiaj->raij", np.stack([k.matrix for k in key_states]).reshape(3, 2, d_e, 2, d_e))
     stack = [blocks.reshape(6, d_e, d_e), blocks.sum(axis=1), blocks[0] - blocks[2]]
     lam = np.linalg.eigvalsh(np.concatenate(stack))
     h = _entropy_bits(lam)
@@ -284,8 +284,8 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     pinched_x = measure_register(_round_state(reduced, REFLECT, ("A1", "A2")), "A1", "X")
     s_x_given_a2 = conditional_entropy(pinched_x, {"A1"}, {"A2"})
 
-    # H(A1^Z|B^Z) = sum_b P(b) h(P(A1=1|b)), P(A1, B) off the resend (A1, B) marginal
-    p_a1_b = np.real(np.diagonal(_round_marginal(reduced, MEASURE_RESEND, ("A1", "B")))).reshape(2, 2)
+    # H(A1^Z|B^Z) = sum_b P(b) h(P(A1=1|b)), P(A1, B) off the resend vector
+    p_a1_b = _resend_distribution(reduced).sum(axis=1)
     p_b = p_a1_b.sum(axis=0)
     h_key_given_b = float(sum(p_b[b] * binary_entropy(p_a1_b[1, b] / p_b[b]) for b in (0, 1) if p_b[b] > 0))
 

@@ -13,6 +13,7 @@ from sqkd.linalg import (
     VALID_LABELS,
     DensityOperator,
     _haar_unitaries,
+    _isometry_residual,
     _pure_marginal,
     SubsystemLayout,
     basis_state,
@@ -242,6 +243,34 @@ def test_embed_operator_single_register():
         embed_operator(x, lay, ["E"])  # dimension mismatch
 
 
+def test_embed_operator_refuses_a_repeated_label():
+    # a label named twice once failed inside numpy ("repeated axis in transpose"); the
+    # boundary names it, on every call, since a refused label list holds no plan
+    lay = layout(("A1", 2), ("T", 2), ("E", 3))
+    for labels in (["E", "E"], ("T", "A1", "T")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^label '{labels[-1]}' is named more than once$"):
+                embed_operator(np.eye(9, dtype=complex), lay, labels)
+
+
+def test_isometry_residual_reads_its_input_and_propagates_nan():
+    # the identity is subtracted in place from the Gram product, never from the caller's matrix
+    rng = np.random.default_rng(61)
+    for m in (haar_random_unitary(4, rng), haar_random_unitary(6, rng)[:, :2], basis_state(3, 1).reshape(3, 1)):
+        before = m.copy()
+        m.setflags(write=False)  # an in-place write to the input would raise
+        assert _isometry_residual(m) <= EXACT
+        assert np.array_equal(m, before)
+    scaled = 2.0 * haar_random_unitary(3, rng)
+    assert abs(_isometry_residual(scaled) - 3.0) <= EXACT  # |4 - 1| on the diagonal
+    for index in ((0, 0), (2, 1)):
+        m = haar_random_unitary(3, rng)
+        m[index] = np.nan
+        before = m.copy()
+        assert math.isnan(_isometry_residual(m))
+        assert np.array_equal(m, before, equal_nan=True)
+
+
 def test_embed_operator_non_adjacent_pair():
     # embed an operator on (T, B) into (T, E, B) where E sits in between
     rng = np.random.default_rng(3)
@@ -304,10 +333,13 @@ def test_partial_trace_product_and_order():
     assert reduced.layout.labels == ("A1", "E")  # original order, not set order
     assert np.allclose(reduced.matrix, np.kron(rho_a, rho_e))
     assert abs(np.trace(reduced.matrix) - 1.0) < EXACT
-    with pytest.raises(ValueError):
-        partial_trace(rho, set())
-    with pytest.raises(ValueError):
-        partial_trace(rho, {"B"})
+    for _ in range(2):  # a refused keep set holds no plan, so it raises again
+        with pytest.raises(ValueError):
+            partial_trace(rho, set())
+        with pytest.raises(ValueError):
+            partial_trace(rho, {"B"})
+    # keeping every factor, in any order, is the identity map: it returns rho itself
+    assert partial_trace(rho, {"E", "T", "A1"}) is rho
 
 
 def test_a_bare_label_string_names_one_factor():

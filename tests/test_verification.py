@@ -23,6 +23,7 @@ from sqkd.attacks import (
     random_collective_attack,
     random_restricted_attack,
     random_symmetric_attack,
+    reduced_round_states,
     simulate_reduced,
 )
 from sqkd.cli import main
@@ -442,11 +443,15 @@ def _degenerate_attacks():
     ]
 
 
-@pytest.mark.parametrize(
+# the symmetric attacks at each d_E, then the degenerate ones, as one zero-argument list builder
+ATTACK_SETS = pytest.mark.parametrize(
     "attacks",
     [*(functools.partial(_symmetric_attacks, d_e) for d_e in (2, 3, 4, 8)), _degenerate_attacks],
     ids=["d_e=2", "d_e=3", "d_e=4", "d_e=8", "degenerate"],
 )
+
+
+@ATTACK_SETS
 def test_key_entropy_given_b_matches_pinch_route(attacks):
     for attack in attacks():
         # reference: pinch A1 and B in Z on the full resend state, then S(A1 B) - S(B)
@@ -491,11 +496,7 @@ def density_matrix_reference(attack):
     return diag, stats
 
 
-@pytest.mark.parametrize(
-    "attacks",
-    [*(functools.partial(_symmetric_attacks, d_e) for d_e in (2, 3, 4, 8)), _degenerate_attacks],
-    ids=["d_e=2", "d_e=3", "d_e=4", "d_e=8", "degenerate"],
-)
+@ATTACK_SETS
 def test_vector_route_matches_density_matrix_route(attacks):
     for attack in attacks():
         reference, reference_stats = density_matrix_reference(attack)
@@ -505,6 +506,20 @@ def test_vector_route_matches_density_matrix_route(attacks):
         stats = estimate_noise_stats(derive_reduced_attack(attack))
         for value, expected in zip((stats.q_fwd, stats.q_rev, stats.q_x), reference_stats):
             assert abs(value - expected) <= EXACT
+
+
+@ATTACK_SETS
+def test_key_states_match_density_matrix_route_entry_by_entry(attacks):
+    # each key state is read off the round vectors' A1 rows; the reference pinches A1 in Z
+    # on the full round state and traces it down to (A1, E)
+    for attack in attacks():
+        reduced = derive_reduced_attack(attack)
+        lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e))
+        for name, state in zip((REFLECT, MEASURE_RESEND, "aux"), reduced_round_states(reduced)):
+            full = DensityOperator.from_state(_round_vector(reduced, name), lay)
+            reference = partial_trace(measure_register(full, "A1", "Z"), {"A1", "E"})
+            assert state.layout == reference.layout
+            assert np.max(np.abs(state.matrix - reference.matrix)) <= EXACT, name
 
 
 @settings(deadline=None, max_examples=25)

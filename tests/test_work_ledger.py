@@ -1,5 +1,7 @@
 """The work ledger: each fixed workload calls each package function as often as recorded."""
+import ast
 import json
+from pathlib import Path
 
 import pytest
 import work_ledger
@@ -7,6 +9,22 @@ import work_ledger
 # the key-rate commands evaluate closed forms: from linalg they may call the scalar gates
 # and binary_entropy, and nothing from the simulator or the verification suites
 KEYRATE_LINALG = {"_number", "_check_range", "_check_integer", "binary_entropy"}
+
+# the traced benchmark smoke fails a verify run in which one of perfbench/tracer.py's TARGETS is
+# never called; run_all_checks reaches all of them but the CLI entry and two key-rate commands
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+NOT_ON_RUN_ALL_CHECKS = {("cli", "main"), ("keyrate", "noise_threshold"), ("keyrate", "keyrate_curve")}
+VERIFY_RUNS = [run for run in work_ledger.RUNS if run not in work_ledger.KEYRATE_RUNS]
+
+
+def traced_targets() -> tuple[tuple[str, str], ...]:
+    """The (module, attribute) pairs of ``TARGETS`` in perfbench/tracer.py, read from its source."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +58,13 @@ def test_keyrate_commands_run_no_simulation(measured, run):
         and not (key.startswith("sqkd.linalg.") and key.split(".")[2] in KEYRATE_LINALG)
     }
     assert not beyond, f"{run} calls {sorted(beyond)}"
+
+
+@pytest.mark.parametrize("run", VERIFY_RUNS)
+def test_verify_runs_call_every_traced_name(measured, run):
+    targets = [target for target in traced_targets() if target not in NOT_ON_RUN_ALL_CHECKS]
+    assert len(targets) >= 20  # the table was found and read, not an empty match
+    # the ledger counts DensityOperator construction as its __init__
+    keys = [f"sqkd.{module}.{attr}" + (".__init__" if attr == "DensityOperator" else "") for module, attr in targets]
+    missing = [key for key in keys if not measured[run].get(key)]
+    assert not missing, f"{run} never calls {missing}"
