@@ -19,15 +19,15 @@ between them:
   isometry that B's two preparation branches see; the rewind isometry
   (:func:`build_rewind`) converts a restricted attack into this form with
   exactly the same joint state on (A1, A2, B, E). Its three round states are
-  read-only vectors, each built on first read and held, as the other two
-  forms hold their round maps; key states and noise statistics are read
-  straight off their rows (a block of a key state is one product of a
-  round vector's A1 = a rows, a probability a sum of |psi|^2 over E), and
-  only :func:`simulate_reduced` forms a full density operator.
+  read-only vectors, built in one product on the first read of any and held,
+  as the other two forms hold their round maps; key states and noise
+  statistics are read straight off their rows (a key state's block is one
+  product of a round vector's A1 = a rows, a probability a sum of |psi|^2
+  over E), and only :func:`simulate_reduced` returns a full density operator.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
-simulated round stays pure: each attack holds its two-way round map, and the
-simulators return the projector of its image, an exact density operator.
+simulated round stays pure: each attack holds its round map, and the simulators
+return its image, a pure state that forms its projector only when it is read.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .linalg import (
     _haar_unitaries,
     _isometry_residual,
     _number,
+    _planned,
     _pure_marginal,
     basis_state,
     complete_isometry,
@@ -81,6 +82,7 @@ __all__ = [
 MEASURE_RESEND = "measure_resend"
 REFLECT = "reflect"
 _AUX = "aux"  # the reduced protocol's reflect round with a sign flip on its |11> branch
+_ROUNDS = (REFLECT, MEASURE_RESEND, _AUX)  # the order of a reduced attack's held stack
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -192,7 +194,7 @@ class ReducedAttack:
     reflect and b = 1 on measure-and-resend rounds, and E starts in |0>,
     so the attack is the read-only (4 d_e, 2) isometry ``v`` whose columns
     are its images of |000> and |110> on (A1, A2, E). The private ``_maps``
-    holds the round vectors that :func:`_round_vector` has built.
+    holds the three round vectors once :func:`_round_vector` has built them.
     """
 
     p0: float
@@ -230,6 +232,18 @@ def alice_states() -> list[np.ndarray]:
     return [KET0.copy(), KET1.copy(), PLUS.copy(), MINUS.copy()]
 
 
+# _COPY[op][0, t, b, 0]: B's Z value given T's, a copy of it or always 0
+_COPY = {MEASURE_RESEND: np.eye(2).reshape(1, 2, 2, 1), REFLECT: np.array([1.0, 0, 1, 0]).reshape(1, 2, 2, 1)}
+
+
+def _b_plan(lay: SubsystemLayout, _) -> tuple[SubsystemLayout, tuple[int, int, int, int]]:
+    """The layout with B right after T, and the shape of a state on ``lay`` that B's axis joins."""
+    t_pos = lay.position("T")
+    left = math.prod(lay.dims[:t_pos])
+    out = SubsystemLayout(lay.factors[: t_pos + 1] + (("B", 2),) + lay.factors[t_pos + 1 :])
+    return out, (left, 2, 1, lay.dim // (2 * left))
+
+
 def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.ndarray, SubsystemLayout]:
     """Apply B's operation to a pure state, appending their private register B after T.
 
@@ -237,7 +251,8 @@ def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.nd
     value is copied coherently onto a fresh B register, which decoheres T
     in the Z basis exactly like a projective measurement followed by
     resending the outcome. Reflect leaves the state untouched apart from
-    the appended |0> register. Returns the new state vector and its layout.
+    the appended |0> register. ``psi`` holds ``lay.dim`` amplitudes, in any
+    shape. Returns the new state vector and its layout, held in ``lay``'s plans.
     """
     if op not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {op!r}")
@@ -245,14 +260,10 @@ def bob_operation(psi: np.ndarray, lay: SubsystemLayout, op: str) -> tuple[np.nd
         raise ValueError("register 'T' is not a qubit")
     if "B" in lay.labels:
         raise ValueError("input already has a B register")
-    t_pos = lay.position("T")
-    new_layout = SubsystemLayout(lay.factors[: t_pos + 1] + (("B", 2),) + lay.factors[t_pos + 1 :])
-    # copy[t, b]: B's Z value given T's, a copy of it or always 0
-    copy = np.eye(2) if op == MEASURE_RESEND else np.array([[1.0, 0.0], [1.0, 0.0]])
-    # B's axis goes in right after T's
-    left = math.prod(lay.dims[:t_pos])
-    out = np.reshape(psi, (left, 2, 1, lay.dim // (2 * left))) * copy.reshape(1, 2, 2, 1)
-    return out.reshape(-1), new_layout
+    if np.size(psi) != lay.dim:
+        raise ValueError(f"state vector length {np.size(psi)} is not the layout dimension {lay.dim}")
+    new_layout, shape = _planned(_b_plan, lay, "B")
+    return (np.reshape(psi, shape) * _COPY[op]).reshape(-1), new_layout
 
 
 def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
@@ -287,11 +298,10 @@ def _round_map(attack, op: str) -> np.ndarray:
             forward, u_rev = attack.u_forward[:, [0, attack.d_e]], attack.u_reverse
         else:
             forward, u_rev = attack._f, attack.u
-        psi, lay = bob_operation(forward.reshape(-1), _layout(("T", "E", "A"), attack.d_e), op)
-        # u_rev's input axes take psi's T and E axes (of T, B, E, A); its output axes return to their places
-        u_tensor = u_rev.reshape(2, attack.d_e, 2, attack.d_e)
-        out = np.tensordot(u_tensor, psi.reshape(lay.dims), axes=([2, 3], [0, 2]))
-        m = np.moveaxis(out, [0, 1], [0, 2]).reshape(-1, 2)
+        psi, _ = bob_operation(forward.reshape(-1), _layout(("T", "E", "A"), attack.d_e), op)
+        # tensordot's own dot: u_rev takes the (T E) rows of psi as (T E) x (B A), then (T, B, E, A) again
+        psi = psi.reshape(2, 2, attack.d_e, 2).transpose(0, 2, 1, 3).reshape(2 * attack.d_e, 4)
+        m = np.dot(u_rev, psi).reshape(2, attack.d_e, 2, 2).transpose(0, 2, 1, 3).reshape(-1, 2)
         m.setflags(write=False)
         attack._maps[op] = m
     return attack._maps[op]
@@ -417,20 +427,21 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     return ReducedAttack(p0, reverse @ build_rewind(attack))
 
 
-def _round_vector(attack: ReducedAttack, name: str) -> np.ndarray:
+def _round_vector(attack: ReducedAttack, name: str | tuple[str, ...]) -> np.ndarray:
     """The read-only round vector amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b> on (A1, A2, B, E),
-    b = 1 on resend rounds, amp1 negated on the aux run, built on first read and held in
-    the attack's ``_maps``."""
+    b = 1 on resend rounds, amp1 negated on the aux run; ``name`` ``_ROUNDS`` reads all three
+    as one (3, 8 d_e) stack in that order. The first read of any builds the stack in one
+    product and holds it and its three rows in the attack's ``_maps``."""
     _check_attack(attack, ReducedAttack)
     if name not in attack._maps:
         amp0, amp1 = math.sqrt(attack.p0), math.sqrt(max(0.0, 1.0 - attack.p0))
-        # each column's amplitudes on (B = 0, B = 1)
-        column1 = {REFLECT: (amp1, 0.0), MEASURE_RESEND: (0.0, amp1), _AUX: (-amp1, 0.0)}[name]
-        amps = np.array([(amp0, 0.0), column1]).reshape(2, 2, 1)  # (column, B, E)
+        # (round, column, (A1, A2), B, E): each round's amplitudes of columns 0 and 1 on B = 0 and B = 1
+        amps = np.array([[amp0, 0, amp1, 0], [amp0, 0, 0, amp1], [amp0, 0, -amp1, 0]]).reshape(3, 2, 1, 2, 1)
         v = attack.v.reshape(4, 1, attack.d_e, 2)  # ((A1, A2), B, E, column)
-        psi = (amps[0] * v[..., 0] + amps[1] * v[..., 1]).reshape(-1)
-        psi.setflags(write=False)
-        attack._maps[name] = psi
+        rounds = (amps[:, 0] * v[..., 0] + amps[:, 1] * v[..., 1]).reshape(3, -1)
+        rounds.setflags(write=False)
+        attack._maps.update(zip(_ROUNDS, rounds))
+        attack._maps[_ROUNDS] = rounds
     return attack._maps[name]
 
 
@@ -471,7 +482,7 @@ def reduced_round_states(
     block-diagonal in A1, its A1 = a block R_a^T conj(R_a) with R_a the round
     vector's A1 = a rows as an (A2 B) x E matrix: one stacked product.
     """
-    rows = np.stack([_round_vector(attack, n) for n in (REFLECT, MEASURE_RESEND, _AUX)]).reshape(3, 2, 4, -1)
+    rows = _round_vector(attack, _ROUNDS).reshape(3, 2, 4, -1)
     blocks, d_e = np.swapaxes(rows, 2, 3) @ rows.conj(), rows.shape[3]  # blocks: (round, A1, E, E)
     keys = np.zeros((3, 2, d_e, 2, d_e), dtype=complex)  # (round, A1, E, A1, E)
     keys[:, 0, :, 0], keys[:, 1, :, 1] = blocks[:, 0], blocks[:, 1]

@@ -9,9 +9,10 @@ inputs; RNG state is always passed explicitly.
 States are validated once, where they enter: the public
 :class:`DensityOperator` constructor gives a matrix three gates and a state
 vector, as :meth:`DensityOperator.from_state` passes it, its norm gate, and
-keeps the vector for :func:`trace_distance`. States derived from a valid
-one by :func:`partial_trace` or :func:`measure_register` are built without
-re-checking, since both maps preserve Hermiticity, positivity and trace.
+keeps the vector, forming its projector on the first read of ``matrix``.
+States derived from a valid one by :func:`partial_trace` or
+:func:`measure_register` are built without re-checking, since both maps
+preserve Hermiticity, positivity and trace.
 
 Dimensions are small by design (full systems never exceed 64), so all
 operations use dense algebra with no attempt at sparsity.
@@ -114,10 +115,10 @@ class DensityOperator:
     -1e-10: one Cholesky factorization of rho + 1e-10 I succeeds exactly
     when they are. A 1-D ``matrix`` is a state vector psi of length
     ``layout.dim``; its one gate is |<psi|psi> - 1| <= 1e-10, the trace gate
-    of |psi><psi|, which is Hermitian and positive by construction and
-    becomes ``matrix``, with psi kept as the private ``_vector``. States that
-    :func:`partial_trace` and :func:`measure_register` derive from a valid
-    one are built by the private :meth:`_trusted`, which checks nothing.
+    of |psi><psi|, which is Hermitian and positive by construction. psi is the
+    private ``_vector``, and ``matrix`` = |psi><psi| is formed on first read.
+    :func:`partial_trace` and :func:`measure_register` derive states from a
+    valid one by the private :meth:`_trusted`, which checks nothing.
     """
 
     matrix: np.ndarray
@@ -129,13 +130,12 @@ class DensityOperator:
         if m.ndim == 1:  # a state vector: a unit vector's projector passes every matrix gate
             if m.shape[0] != self.layout.dim:
                 raise ValueError(f"state vector length {len(m)} is not the layout dimension {self.layout.dim}")
-            norm = np.linalg.norm(m)
-            if not abs(norm * norm - 1.0) <= TOL.trace_one:  # the projector's trace is norm^2
-                raise ValueError(f"state vector norm {norm} is not 1 within tolerance")
+            norm2 = np.vdot(m, m).real
+            if not abs(norm2 - 1.0) <= TOL.trace_one:  # the projector's trace is norm^2
+                raise ValueError(f"state vector norm {math.sqrt(norm2)} is not 1 within tolerance")
             m.setflags(write=False)
             object.__setattr__(self, "_vector", m)
-            object.__setattr__(self, "matrix", np.outer(m, m.conj()))
-            self.matrix.setflags(write=False)
+            object.__delattr__(self, "matrix")  # __getattr__ forms it on first read
             return
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
@@ -160,6 +160,14 @@ class DensityOperator:
             raise ValueError("density operator has a negative eigenvalue beyond tolerance") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def __getattr__(self, name: str):  # only a vector state's unread matrix is missing
+        if name != "matrix" or self._vector is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = np.outer(self._vector, self._vector.conj())
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        return m
 
     def __reduce__(self):  # copy and pickle rebuild through the gates, a pure state from its vector
         return DensityOperator, (self.matrix if self._vector is None else self._vector, self.layout)
@@ -266,8 +274,8 @@ def _pure_marginal(psi: np.ndarray, lay: SubsystemLayout, keep: tuple[str, ...] 
 
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} requires a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"{what} requires a nonempty square matrix, got shape {m.shape}")
     if not np.max(np.abs(m - m.conj().T)) <= TOL.hermitian_input:
         raise ValueError(f"{what} requires a Hermitian matrix")
     return (m + m.conj().T) / 2
@@ -352,7 +360,7 @@ def _entropy_bits(lam: np.ndarray) -> np.ndarray:
     (roundoff of a zero eigenvalue) adds 0, as 0 log 0 := 0.
     """
     kept = np.where(lam > 0.0, lam, 1.0)  # 1 log2 1 = 0
-    return -np.sum(kept * np.log2(kept), axis=-1)
+    return 0.0 - np.sum(kept * np.log2(kept), axis=-1)  # a pure spectrum reads +0.0, not -0.0
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -425,10 +433,10 @@ def _haar_unitaries(dim: int, rng: np.random.Generator, count: int) -> np.ndarra
 
 
 def _isometry_residual(m: np.ndarray) -> float:
-    """max |M^dagger M - I| over entries: 0 for an isometry, NaN if ``m`` holds a NaN."""
+    """max |M^dagger M - I| over entries: 0 for an isometry or no columns, NaN if ``m`` holds a NaN."""
     gram = m.conj().T @ m  # a new array: the caller's m stays as it was
     gram.flat[:: gram.shape[0] + 1] -= 1.0
-    return float(np.abs(gram).max())
+    return float(np.abs(gram).max(initial=0.0))
 
 
 def complete_isometry(columns: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from sqkd.attacks import (
     NoiseStats,
     ReducedAttack,
     RestrictedAttack,
+    _ROUNDS,
     _disc_sample,
     _round_vector,
     alice_states,
@@ -249,6 +250,16 @@ def test_bob_operation_insert_position_and_errors():
         bob_operation(basis_state(2, 0), layout(("A1", 2)), MEASURE_RESEND)
     with pytest.raises(ValueError):
         bob_operation(psi, lay, "teleport")
+    # the output layout is built once per input layout and held in its plans
+    assert bob_operation(psi, lay, MEASURE_RESEND)[1] is out_layout
+
+
+@pytest.mark.parametrize("length", [2, 3, 8])
+def test_bob_operation_names_a_state_of_the_wrong_length(length):
+    # a wrong length once failed inside numpy: "cannot reshape array of size 8 into shape (1,2,1,2)"
+    for op in (MEASURE_RESEND, REFLECT):
+        with pytest.raises(ValueError, match=f"^state vector length {length} is not the layout dimension 4$"):
+            bob_operation(np.ones(length) / math.sqrt(length), layout(("T", 2), ("E", 2)), op)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 4])
@@ -706,21 +717,31 @@ def test_reduced_round_matches_kron_construction(d_e):
         MEASURE_RESEND: reduced_round_by_kron(reduced, 1.0, 1),
         "aux": reduced_round_by_kron(reduced, -1.0, 0),
     }
-    # each round vector is built on first read: reading v alone, as check_isometries does, builds none
+    # reading v alone, as check_isometries does, builds no round vector
     assert reduced._maps == {}
     assert reduced.v.shape == (4 * d_e, 2)
     assert reduced._maps == {}
+    # the first read of any round builds all three in one product: the stack and its rows are held
     returned = [simulate_reduced(reduced, REFLECT)]
-    assert list(reduced._maps) == [REFLECT]
+    assert list(reduced._maps) == [REFLECT, MEASURE_RESEND, "aux", _ROUNDS]
+    stack = reduced._maps[_ROUNDS]
+    assert stack.shape == (3, 8 * d_e) and not stack.flags.writeable
+    assert all(np.shares_memory(reduced._maps[name], stack) for name in _ROUNDS)
+    # each held vector is the per-name formula amp0 v0 |B=0> + amp1 v1 |B=b>, bit for bit
+    amp0, amp1 = math.sqrt(reduced.p0), math.sqrt(max(0.0, 1.0 - reduced.p0))
+    v = reduced.v.reshape(4, 1, d_e, 2)
+    for name, column1 in zip(_ROUNDS, ((amp1, 0.0), (0.0, amp1), (-amp1, 0.0))):
+        amps = np.array([(amp0, 0.0), column1]).reshape(2, 2, 1)
+        assert reduced._maps[name].tobytes() == (amps[0] * v[..., 0] + amps[1] * v[..., 1]).tobytes()
     returned.append(simulate_reduced(reduced, MEASURE_RESEND))
     for out, op in zip(returned, (REFLECT, MEASURE_RESEND)):
         assert out.layout.labels == ("A1", "A2", "B", "E")
         assert np.max(np.abs(out.matrix - np.outer(vectors[op], vectors[op].conj()))) < EXACT
     key_states = reduced_round_states(reduced)
-    assert sorted(reduced._maps) == sorted(vectors)
+    assert set(reduced._maps) == {*vectors, _ROUNDS}
     fresh = derive_reduced_attack(attack)
     reduced_round_states(fresh)
-    assert sorted(fresh._maps) == sorted(vectors)
+    assert set(fresh._maps) == {*vectors, _ROUNDS}
     for state, name in zip(key_states, (REFLECT, MEASURE_RESEND, "aux")):
         assert np.max(np.abs(state.matrix - key_state_by_vector(vectors[name], d_e))) < EXACT
     returned.extend(key_states)
@@ -730,7 +751,8 @@ def test_reduced_round_matches_kron_construction(d_e):
             state.matrix[0, 0] = 0.0
     # the three held round vectors, the aux one included, match the reference and cannot be written to
     held = dict(reduced._maps)
-    for name, psi in held.items():
+    for name in _ROUNDS:
+        psi = held[name]
         assert np.max(np.abs(psi - vectors[name])) < EXACT
         with pytest.raises(ValueError):
             psi[0] = 0.0
@@ -767,14 +789,15 @@ def test_reduced_round_states_decomposition():
 
 def test_reduced_round_states_refuses_a_broken_decomposition():
     # the resend state must be the equal mixture of the reflect and aux states: a held aux
-    # vector with one entry moved by 1e-6, then renormalized, breaks it and trips the gate
+    # vector (the last row of the held stack) with one entry moved by 1e-6, then renormalized,
+    # breaks it and trips the gate
     reduced = derive_reduced_attack(random_symmetric_attack(0.05, np.random.default_rng(3), 2))
-    reduced_round_states(reduced)  # intact, it passes, and holds the aux vector
-    aux = np.array(_round_vector(reduced, "aux"))
-    aux[0] += 1e-6
-    aux /= np.linalg.norm(aux)
-    aux.setflags(write=False)
-    reduced._maps["aux"] = aux
+    reduced_round_states(reduced)  # intact, it passes, and holds the round stack
+    rounds = np.array(_round_vector(reduced, _ROUNDS))
+    rounds[2, 0] += 1e-6
+    rounds[2] /= np.linalg.norm(rounds[2])
+    rounds.setflags(write=False)
+    reduced._maps[_ROUNDS] = rounds
     with pytest.raises(ArithmeticError, match="^round-state decomposition residual "):
         reduced_round_states(reduced)
 

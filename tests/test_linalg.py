@@ -1,6 +1,9 @@
 """Tests for the dense linear algebra and state bookkeeping layer."""
+import copy
+import dataclasses
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -372,6 +375,9 @@ def test_trace_norm_values():
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         trace_norm(np.zeros((2, 3)))
+    # an empty matrix once reached numpy's "zero-size array to reduction operation maximum"
+    with pytest.raises(ValueError, match=r"^trace_norm requires a nonempty square matrix, got shape \(0, 0\)$"):
+        trace_norm(np.zeros((0, 0)))
 
 
 def test_trace_distance_reference_values():
@@ -407,6 +413,31 @@ def test_from_state_holds_a_read_only_copy_of_its_vector():
     # states built any other way hold no vector
     assert DensityOperator(rho.matrix, lay)._vector is None
     assert measure_register(rho, "T", "Z")._vector is None
+
+
+def test_a_vector_state_forms_its_projector_on_first_read():
+    lay = layout(("T", 2), ("E", 3))
+    psi = random_unit_vector(np.random.default_rng(35), 6)
+    rho = DensityOperator.from_state(psi, lay)
+    assert "matrix" not in vars(rho)
+    # copies, pickles and repr work while the matrix is unread; a copy rebuilds from the vector
+    for copied in (copy.copy(rho), copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
+        assert "matrix" not in vars(copied) and copied._vector.tobytes() == psi.tobytes()
+    assert "matrix" not in vars(rho)
+    assert repr(rho) == repr(DensityOperator(np.outer(psi, psi.conj()), lay))
+    replaced = dataclasses.replace(rho)  # from the formed matrix, through the three matrix gates
+    assert replaced._vector is None and replaced.matrix.tobytes() == rho.matrix.tobytes()
+    matrix = rho.matrix
+    assert matrix.tobytes() == np.outer(psi, psi.conj()).tobytes()
+    assert not matrix.flags.writeable
+    assert rho.matrix is matrix  # formed once, then held
+    with pytest.raises(AttributeError, match="has no attribute 'vector'"):
+        rho.vector
+    # against a mixed state, a vector state takes the eigenvalue route, which reads its projector
+    fresh = DensityOperator.from_state(psi, lay)
+    mixed = DensityOperator(np.eye(6, dtype=complex) / 6.0, lay)
+    assert trace_distance(fresh, mixed) == 0.5 * trace_norm(np.outer(psi, psi.conj()) - mixed.matrix)
+    assert "matrix" in vars(fresh)
 
 
 def test_pure_trace_distance_matches_eigenvalue_route():
@@ -529,6 +560,16 @@ def test_von_neumann_entropy_values():
         assert abs(von_neumann_entropy(mixed) - math.log2(d)) < EXACT
     bell = DensityOperator.from_state(BELL, layout(("A1", 2), ("A2", 2)))
     assert abs(von_neumann_entropy(partial_trace(bell, {"A1"})) - 1.0) < EXACT
+
+
+def test_a_pure_spectrum_has_entropy_plus_zero():
+    # -sum of 0 log 0 terms once read -0.0
+    pure_states = (
+        DensityOperator(qubit_rho(basis_state(2, 1)), layout(("T", 2))),
+        DensityOperator.from_state(basis_state(4, 3), layout(("A1", 2), ("A2", 2))),
+    )
+    for rho in pure_states:
+        assert math.copysign(1.0, von_neumann_entropy(rho)) == 1.0
 
 
 @settings(deadline=None, max_examples=50)
@@ -695,4 +736,8 @@ def test_complete_isometry_vector_promotion_and_errors():
     complete_isometry((1.0 + 0.45e-8) * np.eye(4)[:, :2])
     with pytest.raises(ValueError, match="not orthonormal"):
         complete_isometry((1.0 + 0.55e-8) * np.eye(4)[:, :2])
+    # no columns are trivially orthonormal: residual 0, completed to a full unitary
+    assert _isometry_residual(np.zeros((3, 0), dtype=complex)) == 0.0
+    u = complete_isometry(np.zeros((3, 0)))
+    assert u.shape == (3, 3) and np.max(np.abs(u.conj().T @ u - np.eye(3))) < EXACT
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 import work_ledger
 
+from sqkd.linalg import DensityOperator, layout
+
 # the key-rate commands evaluate closed forms: from linalg they may call the scalar gates
 # and binary_entropy, and nothing from the simulator or the verification suites
 KEYRATE_LINALG = {"_number", "_check_range", "_check_integer", "binary_entropy"}
@@ -68,3 +70,12 @@ def test_verify_runs_call_every_traced_name(measured, run):
     keys = [f"sqkd.{module}.{attr}" + (".__init__" if attr == "DensityOperator" else "") for module, attr in targets]
     missing = [key for key in keys if not measured[run].get(key)]
     assert not missing, f"{run} never calls {missing}"
+
+
+def test_run_all_checks_forms_no_projector(measured):
+    # every pure state on the verify path stays a vector: a DensityOperator forms |psi><psi| in
+    # __getattr__ on the first read of its matrix, and the ledger counts that call when it happens
+    read = work_ledger.count_calls(lambda: DensityOperator.from_state([1.0, 0.0], layout(("T", 2))).matrix)
+    assert read["sqkd.linalg.DensityOperator.__getattr__"] == 1
+    for run in VERIFY_RUNS:
+        assert "sqkd.linalg.DensityOperator.__getattr__" not in measured[run]
