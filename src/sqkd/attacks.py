@@ -18,12 +18,12 @@ between them:
   variant in which B themselves prepares the two-qubit state, with V the
   isometry that B's two preparation branches see; the rewind isometry
   (:func:`build_rewind`) converts a restricted attack into this form with
-  exactly the same joint state on (A1, A2, B, E). Its three round states are
-  read-only vectors, built in one product on the first read of any and held,
-  as the other two forms hold their round maps; key states and noise
-  statistics are read straight off their rows (a key state's block is one
-  product of a round vector's A1 = a rows, a probability a sum of |psi|^2
-  over E), and only :func:`simulate_reduced` returns a full density operator.
+  exactly the same joint state on (A1, A2, B, E). Its constructor builds its
+  three round states as one read-only stack of vectors, and every reader
+  takes rows of it: key states and noise statistics are read straight off
+  them (a key state's block is one product of a round vector's A1 = a rows,
+  a probability a sum of |psi|^2 over the trailing factors), and only
+  :func:`simulate_reduced` returns a full density operator.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
 simulated round stays pure: each attack holds its round map, and the simulators
@@ -47,7 +47,6 @@ from .linalg import (
     _isometry_residual,
     _number,
     _planned,
-    _pure_marginal,
     basis_state,
     complete_isometry,
     embed_operator,
@@ -82,7 +81,7 @@ __all__ = [
 MEASURE_RESEND = "measure_resend"
 REFLECT = "reflect"
 _AUX = "aux"  # the reduced protocol's reflect round with a sign flip on its |11> branch
-_ROUNDS = (REFLECT, MEASURE_RESEND, _AUX)  # the order of a reduced attack's held stack
+_ROUNDS = (REFLECT, MEASURE_RESEND, _AUX)  # the rows of a reduced attack's round stack
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -193,22 +192,31 @@ class ReducedAttack:
     B prepares sqrt(p0)|000> + sqrt(1-p0)|11b> on (A1, A2, B), b = 0 on
     reflect and b = 1 on measure-and-resend rounds, and E starts in |0>,
     so the attack is the read-only (4 d_e, 2) isometry ``v`` whose columns
-    are its images of |000> and |110> on (A1, A2, E). The private ``_maps``
-    holds the three round vectors once :func:`_round_vector` has built them.
+    are its images of |000> and |110> on (A1, A2, E). The constructor also
+    holds the read-only (3, 8 d_e) stack ``_rounds`` of the round vectors
+    amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b> on (A1, A2, B, E), in ``_ROUNDS``
+    order: reflect (b = 0), resend (b = 1), and aux (b = 0, amp1 negated).
     """
 
     p0: float
     v: np.ndarray
     d_e: int = field(init=False)
-    _maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _rounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", _check_range("p0", self.p0, 0.0, 1.0))
         m = np.array(self.v, dtype=complex)
         if m.ndim != 2 or m.shape[0] % 4:
             raise ValueError(f"attack isometry has invalid shape {m.shape}")
-        object.__setattr__(self, "d_e", _check_d_e(m.shape[0] // 4))
-        object.__setattr__(self, "v", _frozen_isometry(m, (4 * self.d_e, 2), "v"))
+        object.__setattr__(self, "d_e", d_e := _check_d_e(m.shape[0] // 4))
+        object.__setattr__(self, "v", _frozen_isometry(m, (4 * d_e, 2), "v"))
+        amp0, amp1 = math.sqrt(self.p0), math.sqrt(max(0.0, 1.0 - self.p0))
+        # (round, column, (A1, A2), B, E): each round's amplitudes of columns 0 and 1 on B = 0 and B = 1
+        amps = np.array([[amp0, 0, amp1, 0], [amp0, 0, 0, amp1], [amp0, 0, -amp1, 0]]).reshape(3, 2, 1, 2, 1)
+        v = self.v.reshape(4, 1, d_e, 2)  # ((A1, A2), B, E, column)
+        rounds = (amps[:, 0] * v[..., 0] + amps[:, 1] * v[..., 1]).reshape(3, -1)
+        rounds.setflags(write=False)
+        object.__setattr__(self, "_rounds", rounds)
 
     def __reduce__(self):  # as CollectiveAttack's
         return ReducedAttack, (self.p0, self.v)
@@ -427,32 +435,21 @@ def derive_reduced_attack(attack: RestrictedAttack) -> ReducedAttack:
     return ReducedAttack(p0, reverse @ build_rewind(attack))
 
 
-def _round_vector(attack: ReducedAttack, name: str | tuple[str, ...]) -> np.ndarray:
-    """The read-only round vector amp0 v[:, 0] |B=0> + amp1 v[:, 1] |B=b> on (A1, A2, B, E),
-    b = 1 on resend rounds, amp1 negated on the aux run; ``name`` ``_ROUNDS`` reads all three
-    as one (3, 8 d_e) stack in that order. The first read of any builds the stack in one
-    product and holds it and its three rows in the attack's ``_maps``."""
-    _check_attack(attack, ReducedAttack)
-    if name not in attack._maps:
-        amp0, amp1 = math.sqrt(attack.p0), math.sqrt(max(0.0, 1.0 - attack.p0))
-        # (round, column, (A1, A2), B, E): each round's amplitudes of columns 0 and 1 on B = 0 and B = 1
-        amps = np.array([[amp0, 0, amp1, 0], [amp0, 0, 0, amp1], [amp0, 0, -amp1, 0]]).reshape(3, 2, 1, 2, 1)
-        v = attack.v.reshape(4, 1, attack.d_e, 2)  # ((A1, A2), B, E, column)
-        rounds = (amps[:, 0] * v[..., 0] + amps[:, 1] * v[..., 1]).reshape(3, -1)
-        rounds.setflags(write=False)
-        attack._maps.update(zip(_ROUNDS, rounds))
-        attack._maps[_ROUNDS] = rounds
-    return attack._maps[name]
-
-
-def _round_state(attack: ReducedAttack, name: str, labels: tuple[str, ...]) -> DensityOperator:
-    psi, lay = _round_vector(attack, name), _layout(_REDUCED_LABELS, attack.d_e)
-    return DensityOperator._trusted(_pure_marginal(psi, lay, labels), _layout(labels, attack.d_e))
+def _probabilities(psi: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """P over the leading factors, of dimensions ``shape``, of a contiguous pure state ``psi``:
+    |psi|^2, the re^2 + im^2 of its float view, summed over the trailing factors."""
+    return np.square(psi.view(float)).reshape(*shape, -1).sum(axis=-1)
 
 
 def _resend_distribution(attack: ReducedAttack) -> np.ndarray:
-    """P(A1, A2, B) on resend rounds: the resend vector's re^2 + im^2 (its float view) summed over E."""
-    return np.square(_round_vector(attack, MEASURE_RESEND).view(float)).reshape(2, 2, 2, -1).sum(axis=3)
+    """P(A1, A2, B) on resend rounds, off the resend vector."""
+    return _probabilities(attack._rounds[1], (2, 2, 2))
+
+
+def _reflect_a1a2(attack: ReducedAttack) -> DensityOperator:
+    """The reflect round's (A1, A2) marginal: the Gram matrix of the reflect vector's (A1 A2) rows."""
+    m = attack._rounds[0].reshape(4, -1)
+    return DensityOperator._trusted(m @ m.conj().T, _layout(("A1", "A2"), attack.d_e))
 
 
 def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
@@ -463,9 +460,10 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
     the attack isometry acts on (A1, A2, E). Returns the pure joint state
     over (A1, A2, B, E), the projector of the attack's held round vector.
     """
+    rounds = _check_attack(attack, ReducedAttack)._rounds
     if choice not in (MEASURE_RESEND, REFLECT):
         raise ValueError(f"unknown operation {choice!r}")
-    return DensityOperator.from_state(_round_vector(attack, choice), _layout(_REDUCED_LABELS, attack.d_e))
+    return DensityOperator.from_state(rounds[_ROUNDS.index(choice)], _layout(_REDUCED_LABELS, attack.d_e))
 
 
 def reduced_round_states(
@@ -480,17 +478,17 @@ def reduced_round_states(
     register decoheres exactly the branch coherence the sign flip
     negates); a residual above 1e-10 raises ArithmeticError. Each state is
     block-diagonal in A1, its A1 = a block R_a^T conj(R_a) with R_a the round
-    vector's A1 = a rows as an (A2 B) x E matrix: one stacked product.
+    vector's A1 = a rows as an (A2 B) x E matrix: one stacked product, gated
+    block by block (the blocks off the A1 diagonal are exact zeros).
     """
-    rows = _round_vector(attack, _ROUNDS).reshape(3, 2, 4, -1)
+    rows = _check_attack(attack, ReducedAttack)._rounds.reshape(3, 2, 4, -1)
     blocks, d_e = np.swapaxes(rows, 2, 3) @ rows.conj(), rows.shape[3]  # blocks: (round, A1, E, E)
-    keys = np.zeros((3, 2, d_e, 2, d_e), dtype=complex)  # (round, A1, E, A1, E)
-    keys[:, 0, :, 0], keys[:, 1, :, 1] = blocks[:, 0], blocks[:, 1]
-    reflect, resend, aux = keys.reshape(3, 2 * d_e, 2 * d_e)
-    residual = np.max(np.abs(resend - 0.5 * reflect - 0.5 * aux))
+    residual = np.max(np.abs(blocks[1] - 0.5 * blocks[0] - 0.5 * blocks[2]))
     if not residual <= TOL.decomposition:
         raise ArithmeticError(f"round-state decomposition residual {residual:.3e}")
-    return tuple(DensityOperator._trusted(k, _layout(("A1", "E"), d_e)) for k in (reflect, resend, aux))
+    keys = np.zeros((3, 2, d_e, 2, d_e), dtype=complex)  # (round, A1, E, A1, E)
+    keys[:, 0, :, 0], keys[:, 1, :, 1] = blocks[:, 0], blocks[:, 1]
+    return tuple(DensityOperator._trusted(k, _layout(("A1", "E"), d_e)) for k in keys.reshape(3, 2 * d_e, -1))
 
 
 def estimate_noise_stats(attack) -> NoiseStats:
@@ -501,26 +499,25 @@ def estimate_noise_stats(attack) -> NoiseStats:
     differs from B's bit, and q_x the probability that the two X measurements on
     reflect rounds disagree. A reduced attack's are read off its round vectors:
     P(A1, A2, B) is the resend vector's |psi|^2 summed over E, and q_x =
-    1/2 - Re(<m3|m0> + <m2|m1>), m_k the reflect vector's (A1 A2) = k row. A two-way
-    attack's are Gram marginals of its pure round states, averaged over A's preparations.
+    1/2 - Re(<m3|m0> + <m2|m1>), m_k the reflect vector's (A1 A2) = k row. A two-way attack's
+    are read the same way off its round states on (T, B, E), averaged over A's preparations:
+    P(T, B) is |psi|^2 summed over E, and rho_T[0, 1] = <t1|t0>, t_k the T = k row.
     """
     if isinstance(attack, ReducedAttack):
         p = _resend_distribution(attack)
         q_fwd = p[0, :, 1].sum() + p[1, :, 0].sum()
         q_rev = p[:, 0, 1].sum() + p[:, 1, 0].sum()
-        m = _round_vector(attack, REFLECT).reshape(4, -1)
+        m = attack._rounds[0].reshape(4, -1)
         return NoiseStats(q_fwd, q_rev, 0.5 - np.real(np.vdot(m[3], m[0]) + np.vdot(m[2], m[1])))
 
-    # A's four preparations through the held round maps, read as marginals on (T, B, E)
+    # A's four preparations through the held round maps
     resend, reflect = _round_map(attack, MEASURE_RESEND), _round_map(attack, REFLECT)
-    lay = _layout(("T", "B", "E"), attack.d_e)
-    runs = [_pure_marginal(resend @ a, lay, ("T", "B")) for a in (KET0, KET1)]
-    p0, p1 = (np.real(np.diagonal(run)).reshape(2, 2) for run in runs)  # P(T, B)
+    p0, p1 = (_probabilities(resend @ a, (2, 2)) for a in (KET0, KET1))  # P(T, B)
     q_fwd = 0.5 * (p0[:, 1].sum() + p1[:, 0].sum())
     q_rev = 0.5 * (p0[0, 1] + p0[1, 0] + p1[0, 1] + p1[1, 0])
     # A's X outcome on the reflect run of |+> (|->) is the other sign with probability 1/2 -+ Re rho_T[0, 1]
-    plus, minus = (_pure_marginal(reflect @ a, lay, ("T",)) for a in (PLUS, MINUS))
-    return NoiseStats(q_fwd, q_rev, 0.5 - 0.5 * np.real(plus[0, 1] - minus[0, 1]))
+    t_p, t_m = ((reflect @ a).reshape(2, -1) for a in (PLUS, MINUS))  # T = 0, 1 rows: rho_T[0, 1] = <t1|t0>
+    return NoiseStats(q_fwd, q_rev, 0.5 - 0.5 * np.real(np.vdot(t_p[1], t_p[0]) - np.vdot(t_m[1], t_m[0])))
 
 
 def random_collective_attack(d_e: int, rng: np.random.Generator) -> CollectiveAttack:

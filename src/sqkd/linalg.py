@@ -239,7 +239,7 @@ def embed_operator(op: np.ndarray, lay: SubsystemLayout, labels: _Labels) -> np.
 
 
 def _keep_plan(lay: SubsystemLayout, keep: frozenset[str]):
-    """The kept factors first, the einsum axes and output that trace out the others, and their layout."""
+    """The einsum axes and output that trace out the factors not in ``keep``, and the kept layout."""
     if not keep:
         raise ValueError("keep must name at least one factor")
     if unknown := keep - set(lay.labels):
@@ -248,7 +248,7 @@ def _keep_plan(lay: SubsystemLayout, keep: frozenset[str]):
     # einsum axes: a traced factor's column axis is its row axis, so it is summed over
     axes = [*range(n), *(n + i if i in kept else i for i in range(n))]
     kept_layout = lay if len(kept) == n else SubsystemLayout(tuple(lay.factors[i] for i in kept))
-    return kept + [i for i in range(n) if i not in kept], axes, kept + [n + i for i in kept], kept_layout
+    return axes, kept + [n + i for i in kept], kept_layout
 
 
 def partial_trace(rho: DensityOperator, keep: _Labels) -> DensityOperator:
@@ -257,19 +257,11 @@ def partial_trace(rho: DensityOperator, keep: _Labels) -> DensityOperator:
     The reduced operator keeps the surviving factors in their original
     order; the trace is preserved exactly. Keeping every factor returns ``rho``.
     """
-    _, axes, out, lay = _planned(_keep_plan, rho.layout, frozenset(_labels(keep)))
+    axes, out, lay = _planned(_keep_plan, rho.layout, frozenset(_labels(keep)))
     if lay is rho.layout:
         return rho
     reduced = np.einsum(rho.matrix.reshape(rho.layout.dims * 2), axes, out)
     return DensityOperator._trusted(reduced.reshape(lay.dim, lay.dim), lay)
-
-
-def _pure_marginal(psi: np.ndarray, lay: SubsystemLayout, keep: tuple[str, ...] | set[str]) -> np.ndarray:
-    """The marginal matrix on ``keep``, in layout order, of the unit vector ``psi`` on ``lay``."""
-    # M is psi with the kept axes first, in layout order; the marginal is M M^dagger
-    order, _, _, kept = _planned(_keep_plan, lay, frozenset(keep))
-    m = np.transpose(psi.reshape(lay.dims), order).reshape(kept.dim, -1)
-    return m @ m.conj().T
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:

@@ -23,8 +23,8 @@ from .attacks import (
     CollectiveAttack,
     RestrictedAttack,
     _check_d_e,
+    _reflect_a1a2,
     _resend_distribution,
-    _round_state,
     alice_states,
     build_rewind,
     derive_reduced_attack,
@@ -281,7 +281,7 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     s_reflect, s_resend, s_aux = map(float, h[:6].reshape(3, 2).sum(axis=1) - h[6:9])
     td_reflect_aux = 0.5 * float(np.sum(np.abs(lam[9:])))
 
-    pinched_x = measure_register(_round_state(reduced, REFLECT, ("A1", "A2")), "A1", "X")
+    pinched_x = measure_register(_reflect_a1a2(reduced), "A1", "X")
     s_x_given_a2 = conditional_entropy(pinched_x, {"A1"}, {"A2"})
 
     # H(A1^Z|B^Z) = sum_b P(b) h(P(A1=1|b)), P(A1, B) off the resend vector

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kron_reference import permute_factors
 from sqkd.attacks import (
@@ -16,7 +18,8 @@ from sqkd.attacks import (
     RestrictedAttack,
     _ROUNDS,
     _disc_sample,
-    _round_vector,
+    _probabilities,
+    _reflect_a1a2,
     alice_states,
     bob_operation,
     build_rewind,
@@ -708,6 +711,15 @@ def key_state_by_vector(psi, d_e):
     return out.reshape(2 * d_e, 2 * d_e)
 
 
+class _ReadLog(np.ndarray):
+    """A view type that logs every array numpy derives from it: the views and results a reader takes."""
+
+    log: list = []
+
+    def __array_finalize__(self, obj) -> None:
+        _ReadLog.log.append(self)
+
+
 @pytest.mark.parametrize("d_e", [2, 3, 4, 8])
 def test_reduced_round_matches_kron_construction(d_e):
     attack = random_restricted_attack(d_e, np.random.default_rng(500 + d_e))
@@ -717,51 +729,76 @@ def test_reduced_round_matches_kron_construction(d_e):
         MEASURE_RESEND: reduced_round_by_kron(reduced, 1.0, 1),
         "aux": reduced_round_by_kron(reduced, -1.0, 0),
     }
-    # reading v alone, as check_isometries does, builds no round vector
-    assert reduced._maps == {}
-    assert reduced.v.shape == (4 * d_e, 2)
-    assert reduced._maps == {}
-    # the first read of any round builds all three in one product: the stack and its rows are held
-    returned = [simulate_reduced(reduced, REFLECT)]
-    assert list(reduced._maps) == [REFLECT, MEASURE_RESEND, "aux", _ROUNDS]
-    stack = reduced._maps[_ROUNDS]
+    # the constructor builds the round stack, in _ROUNDS order, and holds it read-only
+    assert "_rounds" in vars(reduced)
+    stack = reduced._rounds
     assert stack.shape == (3, 8 * d_e) and not stack.flags.writeable
-    assert all(np.shares_memory(reduced._maps[name], stack) for name in _ROUNDS)
-    # each held vector is the per-name formula amp0 v0 |B=0> + amp1 v1 |B=b>, bit for bit
+    with pytest.raises(ValueError):
+        stack[0, 0] = 0.0
+    # each row is the per-name formula amp0 v0 |B=0> + amp1 v1 |B=b>, bit for bit, and matches the reference
     amp0, amp1 = math.sqrt(reduced.p0), math.sqrt(max(0.0, 1.0 - reduced.p0))
     v = reduced.v.reshape(4, 1, d_e, 2)
-    for name, column1 in zip(_ROUNDS, ((amp1, 0.0), (0.0, amp1), (-amp1, 0.0))):
+    for row, name, column1 in zip(stack, _ROUNDS, ((amp1, 0.0), (0.0, amp1), (-amp1, 0.0))):
         amps = np.array([(amp0, 0.0), column1]).reshape(2, 2, 1)
-        assert reduced._maps[name].tobytes() == (amps[0] * v[..., 0] + amps[1] * v[..., 1]).tobytes()
-    returned.append(simulate_reduced(reduced, MEASURE_RESEND))
+        assert row.tobytes() == (amps[0] * v[..., 0] + amps[1] * v[..., 1]).tobytes()
+        assert np.max(np.abs(row - vectors[name])) < EXACT
+    returned = [simulate_reduced(reduced, op) for op in (REFLECT, MEASURE_RESEND)]
     for out, op in zip(returned, (REFLECT, MEASURE_RESEND)):
         assert out.layout.labels == ("A1", "A2", "B", "E")
         assert np.max(np.abs(out.matrix - np.outer(vectors[op], vectors[op].conj()))) < EXACT
     key_states = reduced_round_states(reduced)
-    assert set(reduced._maps) == {*vectors, _ROUNDS}
-    fresh = derive_reduced_attack(attack)
-    reduced_round_states(fresh)
-    assert set(fresh._maps) == {*vectors, _ROUNDS}
-    for state, name in zip(key_states, (REFLECT, MEASURE_RESEND, "aux")):
+    for state, name in zip(key_states, _ROUNDS):
         assert np.max(np.abs(state.matrix - key_state_by_vector(vectors[name], d_e))) < EXACT
     returned.extend(key_states)
     # every returned state cannot be written to either
     for state in returned:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 0.0
-    # the three held round vectors, the aux one included, match the reference and cannot be written to
-    held = dict(reduced._maps)
-    for name in _ROUNDS:
-        psi = held[name]
-        assert np.max(np.abs(psi - vectors[name])) < EXACT
-        with pytest.raises(ValueError):
-            psi[0] = 0.0
-    # later readers neither rebuild nor replace a held vector
-    estimate_noise_stats(reduced)
-    for op in (REFLECT, MEASURE_RESEND):
-        simulate_reduced(reduced, op)
-    assert reduced._maps.keys() == held.keys()
-    assert all(_round_vector(reduced, name) is psi for name, psi in held.items())
+    # every reader takes rows of that one array: seen through a logging view, each reader derives
+    # views that share the memory of the rows it reads, and gives what it gave before
+    ops = (REFLECT, MEASURE_RESEND)
+    readers = {  # each reader and the rows it reads
+        "simulate_reduced": (lambda: [simulate_reduced(reduced, op).matrix for op in ops], {0, 1}),
+        "reduced_round_states": (lambda: [state.matrix for state in reduced_round_states(reduced)], {0, 1, 2}),
+        "estimate_noise_stats": (lambda: list(estimate_noise_stats(reduced)), {0, 1}),
+    }
+    before = {name: read() for name, (read, _) in readers.items()}
+    object.__setattr__(reduced, "_rounds", stack.view(_ReadLog))
+    for name, (read, rows) in readers.items():
+        _ReadLog.log.clear()
+        assert all(np.array_equal(x, y) for x, y in zip(read(), before[name])), name
+        assert {i for i in range(3) if any(np.shares_memory(view, stack[i]) for view in _ReadLog.log)} == rows, name
+    _ReadLog.log.clear()
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1))
+def test_probabilities_match_partial_trace(seed):
+    # P over a pure state's leading factors is the diagonal of its marginal on them, on the
+    # two-way (T, B, E) states and the reduced (A1, A2, B, E) ones, for every leading prefix
+    rng = np.random.default_rng(seed)
+    d_e = int(rng.integers(1, 9))
+    for labels in (("T", "B"), ("A1", "A2", "B")):
+        lay = layout(*((lab, 2) for lab in labels), ("E", d_e))
+        psi = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+        psi /= np.linalg.norm(psi)
+        for k in range(1, len(labels) + 1):
+            reference = partial_trace(DensityOperator.from_state(psi, lay), labels[:k]).matrix
+            p = _probabilities(psi, (2,) * k)
+            assert p.shape == (2,) * k
+            assert np.max(np.abs(p.reshape(-1) - np.diagonal(reference))) <= EXACT
+
+
+@pytest.mark.parametrize("d_e", [2, 3, 4, 8])
+def test_reflect_marginal_matches_partial_trace(d_e):
+    rng = np.random.default_rng(600 + d_e)
+    for attack in (random_restricted_attack(d_e, rng), random_symmetric_attack(0.1, rng, d_e)):
+        reduced = derive_reduced_attack(attack)
+        marginal = _reflect_a1a2(reduced)
+        reference = partial_trace(simulate_reduced(reduced, REFLECT), ("A1", "A2"))
+        assert marginal.layout == reference.layout
+        assert np.max(np.abs(marginal.matrix - reference.matrix)) <= EXACT
+        assert not marginal.matrix.flags.writeable
 
 
 def test_simulate_reduced_validation():
@@ -792,12 +829,12 @@ def test_reduced_round_states_refuses_a_broken_decomposition():
     # vector (the last row of the held stack) with one entry moved by 1e-6, then renormalized,
     # breaks it and trips the gate
     reduced = derive_reduced_attack(random_symmetric_attack(0.05, np.random.default_rng(3), 2))
-    reduced_round_states(reduced)  # intact, it passes, and holds the round stack
-    rounds = np.array(_round_vector(reduced, _ROUNDS))
+    reduced_round_states(reduced)  # intact, it passes
+    rounds = np.array(reduced._rounds)
     rounds[2, 0] += 1e-6
     rounds[2] /= np.linalg.norm(rounds[2])
     rounds.setflags(write=False)
-    reduced._maps[_ROUNDS] = rounds
+    object.__setattr__(reduced, "_rounds", rounds)
     with pytest.raises(ArithmeticError, match="^round-state decomposition residual "):
         reduced_round_states(reduced)
 
@@ -914,14 +951,14 @@ def _copied_form(name):
     if name == "partial_trace":
         return partial_trace(simulate_entangled_sqkd(_attack_form("collective"), MEASURE_RESEND), ("A1", "E"))
     attack = _attack_form(name)
-    estimate_noise_stats(attack)  # holds its round maps or vectors
+    estimate_noise_stats(attack)  # a two-way form holds its round maps
     return attack
 
 
 _HELD_ARRAYS = {
     "collective": ("u_forward", "u_reverse"),
     "restricted": ("u", "_f"),
-    "reduced": ("v",),
+    "reduced": ("v", "_rounds"),
     "from_state": ("matrix", "_vector"),
     "partial_trace": ("matrix",),
 }
@@ -933,17 +970,20 @@ _HELD_ARRAYS = {
 @pytest.mark.parametrize("form", list(_HELD_ARRAYS))
 def test_copies_and_pickles_rebuild_through_the_constructor(form, route):
     # frozen dataclasses once copied through __dict__, skipping the gates: a deep copy's or an
-    # unpickled object's arrays were writable, and the original's held maps came along
+    # unpickled object's arrays were writable, and the original's held maps came along; a copy
+    # rebuilds each held array, a reduced attack's round stack too, equal and distinct
     original = _copied_form(form)
     copied = route(original)
     assert type(copied) is type(original) and copied is not original
     for name in _HELD_ARRAYS[form]:
         assert np.array_equal(getattr(copied, name), getattr(original, name))
+        assert not np.shares_memory(getattr(copied, name), getattr(original, name))
         assert not getattr(copied, name).flags.writeable
     if isinstance(copied, DensityOperator):
         assert copied.layout == original.layout
         assert (copied._vector is None) == (original._vector is None)
     else:
-        assert copied.d_e == original.d_e and copied._maps == {}
+        maps = getattr(copied, "_maps", {})  # a two-way form's round maps, built anew on first use
+        assert copied.d_e == original.d_e and maps == {}
         assert estimate_noise_stats(copied) == estimate_noise_stats(original)
-        assert copied._maps.keys() == original._maps.keys()
+        assert maps.keys() == getattr(original, "_maps", {}).keys()

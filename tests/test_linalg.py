@@ -17,7 +17,6 @@ from sqkd.linalg import (
     DensityOperator,
     _haar_unitaries,
     _isometry_residual,
-    _pure_marginal,
     SubsystemLayout,
     basis_state,
     binary_entropy,
@@ -480,26 +479,6 @@ def test_trace_distance_with_a_mixed_state_uses_eigenvalues():
     mixed = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), lay)
     for pair in ((pure, mixed), (mixed, pure)):
         assert trace_distance(*pair) == eigenvalue_trace_distance(*pair)
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.integers(0, 2**32 - 1))
-def test_pure_marginal_matches_partial_trace(seed):
-    rng = np.random.default_rng(seed)
-    random_lay = random_layout(rng)
-    size = int(rng.integers(1, len(random_lay.labels) + 1))
-    random_keep = {str(lab) for lab in rng.choice(random_lay.labels, size=size, replace=False)}
-    key_lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", 3))
-    # a random layout and keep set, then the non-adjacent pair the key states keep
-    for lay, keep in ((random_lay, random_keep), (key_lay, {"E", "A1"})):
-        psi = random_unit_vector(rng, lay.dim)
-        reference = partial_trace(DensityOperator.from_state(psi, lay), keep)
-        # a matrix on the kept factors in layout order, whatever the order of keep
-        marginal = _pure_marginal(psi, lay, keep)
-        assert marginal.shape == reference.matrix.shape
-        assert np.max(np.abs(marginal - reference.matrix)) <= EXACT
-    with pytest.raises(ValueError):
-        _pure_marginal(psi, key_lay, {"E", "X"})
 
 
 def test_trace_distance_rejects_mismatched_layouts():

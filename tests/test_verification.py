@@ -14,7 +14,7 @@ from sqkd.attacks import (
     REFLECT,
     CollectiveAttack,
     RestrictedAttack,
-    _round_vector,
+    _ROUNDS,
     build_rewind,
     derive_reduced_attack,
     derive_restricted_from_collective,
@@ -465,10 +465,7 @@ def density_matrix_reference(attack):
     """Diagnostics and reduced noise stats from full round density operators."""
     reduced = derive_reduced_attack(attack)
     lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e))
-    full = {
-        name: DensityOperator.from_state(_round_vector(reduced, name), lay)
-        for name in (REFLECT, MEASURE_RESEND, "aux")
-    }
+    full = {name: DensityOperator.from_state(psi, lay) for name, psi in zip(_ROUNDS, reduced._rounds)}
     key = {
         name: partial_trace(measure_register(rho, "A1", "Z"), {"A1", "E"})
         for name, rho in full.items()
@@ -515,8 +512,8 @@ def test_key_states_match_density_matrix_route_entry_by_entry(attacks):
     for attack in attacks():
         reduced = derive_reduced_attack(attack)
         lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e))
-        for name, state in zip((REFLECT, MEASURE_RESEND, "aux"), reduced_round_states(reduced)):
-            full = DensityOperator.from_state(_round_vector(reduced, name), lay)
+        for name, psi, state in zip(_ROUNDS, reduced._rounds, reduced_round_states(reduced)):
+            full = DensityOperator.from_state(psi, lay)
             reference = partial_trace(measure_register(full, "A1", "Z"), {"A1", "E"})
             assert state.layout == reference.layout
             assert np.max(np.abs(state.matrix - reference.matrix)) <= EXACT, name
