@@ -21,9 +21,9 @@ between them:
   exactly the same joint state on (A1, A2, B, E). Its constructor builds its
   three round states as one read-only stack of vectors, and every reader
   takes rows of it: key states and noise statistics are read straight off
-  them (a key state's block is one product of a round vector's A1 = a rows,
-  a probability a sum of |psi|^2 over the trailing factors), and only
-  :func:`simulate_reduced` returns a full density operator.
+  them (a key state is held as its two E blocks, each one product of a round
+  vector's A1 = a rows, a probability a sum of |psi|^2 over the trailing
+  factors), and only :func:`simulate_reduced` returns a full density operator.
 
 B's measure-and-resend is modeled as a CNOT onto a private register, so every
 simulated round stays pure: each attack holds its round map, and the simulators
@@ -288,7 +288,7 @@ def forward_isometry(attack: RestrictedAttack) -> np.ndarray:
 @functools.cache
 def _layout(labels: tuple[str, ...], d_e: int) -> SubsystemLayout:
     """The one layout over ``labels`` (qubits, and E of dimension d_e) per process: its keys
-    are label tuples written in the package and validated d_e <= 8, at most 48 of them."""
+    are label tuples written in the package and validated d_e <= 8, at most 40 of them."""
     return layout(*((lab, d_e if lab == "E" else 2) for lab in labels))
 
 
@@ -466,29 +466,28 @@ def simulate_reduced(attack: ReducedAttack, choice: str) -> DensityOperator:
     return DensityOperator.from_state(rounds[_ROUNDS.index(choice)], _layout(_REDUCED_LABELS, attack.d_e))
 
 
-def reduced_round_states(
-    attack: ReducedAttack,
-) -> tuple[DensityOperator, DensityOperator, DensityOperator]:
-    """Key-register states (A1 measured in Z, everything but E discarded).
+def reduced_round_states(attack: ReducedAttack) -> np.ndarray:
+    """Key-register states (A1 measured in Z, everything but E discarded), as their blocks.
 
-    Returns the classical-quantum states over (A1, E) for the three round
-    flavors: reflect rounds, measure-and-resend rounds, and the auxiliary
-    run whose preparation carries a flipped sign on the |11> branch. The
-    resend state must equal the equal mixture of the other two (the B
-    register decoheres exactly the branch coherence the sign flip
-    negates); a residual above 1e-10 raises ArithmeticError. Each state is
-    block-diagonal in A1, its A1 = a block R_a^T conj(R_a) with R_a the round
-    vector's A1 = a rows as an (A2 B) x E matrix: one stacked product, gated
-    block by block (the blocks off the A1 diagonal are exact zeros).
+    Returns the read-only complex (3, 2, d_e, d_e) stack ``blocks`` whose
+    blocks[r, a] is round r's block rho_a on E for A1 = a, of trace P(A1 = a),
+    with rounds in ``_ROUNDS`` order: reflect rounds, measure-and-resend
+    rounds, and the auxiliary run whose preparation carries a flipped sign on
+    the |11> branch. Round r's
+    classical-quantum state over (A1, E) is sum_a |a><a| (x) blocks[r, a];
+    rho_a is R_a^T conj(R_a), R_a the round vector's A1 = a rows as an
+    (A2 B) x E matrix, all six in one stacked product. The resend blocks must
+    equal the equal mixture of the other two (the B register decoheres
+    exactly the branch coherence the sign flip negates); a residual above
+    1e-10 raises ArithmeticError.
     """
     rows = _check_attack(attack, ReducedAttack)._rounds.reshape(3, 2, 4, -1)
-    blocks, d_e = np.swapaxes(rows, 2, 3) @ rows.conj(), rows.shape[3]  # blocks: (round, A1, E, E)
+    blocks = np.swapaxes(rows, 2, 3) @ rows.conj()  # (round, A1, E, E)
     residual = np.max(np.abs(blocks[1] - 0.5 * blocks[0] - 0.5 * blocks[2]))
     if not residual <= TOL.decomposition:
         raise ArithmeticError(f"round-state decomposition residual {residual:.3e}")
-    keys = np.zeros((3, 2, d_e, 2, d_e), dtype=complex)  # (round, A1, E, A1, E)
-    keys[:, 0, :, 0], keys[:, 1, :, 1] = blocks[:, 0], blocks[:, 1]
-    return tuple(DensityOperator._trusted(k, _layout(("A1", "E"), d_e)) for k in keys.reshape(3, 2 * d_e, -1))
+    blocks.setflags(write=False)
+    return blocks
 
 
 def estimate_noise_stats(attack) -> NoiseStats:

@@ -270,11 +270,10 @@ def symmetric_attack_diagnostics(attack: RestrictedAttack) -> SymmetricAttackDia
     reduced = derive_reduced_attack(attack)
     stats = estimate_noise_stats(reduced)
     d_e = attack.d_e
-    # Each key state is block-diagonal in A1, with d_E x d_E blocks rho_a, so
+    # Each key state is sum_a |a><a| (x) rho_a, with d_E x d_E blocks rho_a, so
     # S(A1^Z|E) = sum_a S(rho_a) - S(rho_0 + rho_1) and td(reflect, aux) is
     # 1/2 sum_a ||rho_a - sigma_a||_1: one eigvalsh over 6 blocks, 3 sums, 2 differences
-    key_states = reduced_round_states(reduced)
-    blocks = np.einsum("raiaj->raij", np.stack([k.matrix for k in key_states]).reshape(3, 2, d_e, 2, d_e))
+    blocks = reduced_round_states(reduced)
     stack = [blocks.reshape(6, d_e, d_e), blocks.sum(axis=1), blocks[0] - blocks[2]]
     lam = np.linalg.eigvalsh(np.concatenate(stack))
     h = _entropy_bits(lam)

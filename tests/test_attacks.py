@@ -139,7 +139,7 @@ def _simulated_layouts(attack, reduced) -> list[SubsystemLayout]:
     states = [simulate_sqkd(attack, a, op) for op in (MEASURE_RESEND, REFLECT) for a in alice_states()]
     states += [simulate_entangled_sqkd(attack, op) for op in (MEASURE_RESEND, REFLECT)]
     states += [simulate_reduced(reduced, op) for op in (MEASURE_RESEND, REFLECT)]
-    return [rho.layout for rho in states + list(reduced_round_states(reduced))]
+    return [rho.layout for rho in states]
 
 
 def test_attacks_hold_their_layouts():
@@ -155,11 +155,7 @@ def test_attacks_hold_their_layouts():
     rounds = [simulate_reduced(reduced, op) for op in (MEASURE_RESEND, REFLECT)]
     assert rounds[0].layout is rounds[1].layout
     assert rounds[0].layout.factors == (("A1", 2), ("A2", 2), ("B", 2), ("E", 3))
-    key_states = reduced_round_states(reduced)
-    assert all(rho.layout is key_states[0].layout for rho in key_states)
-    assert key_states[0].layout.factors == (("A1", 2), ("E", 3))
-    assert reduced_round_states(reduced)[0].layout is key_states[0].layout
-    assert not any(rho.matrix.flags.writeable for rho in key_states)
+    assert not reduced_round_states(reduced).flags.writeable
     # two attacks with one d_E share every layout; an attack with another d_E shares none
     first = _simulated_layouts(restricted, reduced)
     other = random_restricted_attack(3, rng)
@@ -746,20 +742,22 @@ def test_reduced_round_matches_kron_construction(d_e):
     for out, op in zip(returned, (REFLECT, MEASURE_RESEND)):
         assert out.layout.labels == ("A1", "A2", "B", "E")
         assert np.max(np.abs(out.matrix - np.outer(vectors[op], vectors[op].conj()))) < EXACT
-    key_states = reduced_round_states(reduced)
-    for state, name in zip(key_states, _ROUNDS):
-        assert np.max(np.abs(state.matrix - key_state_by_vector(vectors[name], d_e))) < EXACT
-    returned.extend(key_states)
-    # every returned state cannot be written to either
-    for state in returned:
+    blocks = reduced_round_states(reduced)
+    assert blocks.shape == (3, 2, d_e, d_e)
+    for round_blocks, name in zip(blocks, _ROUNDS):
+        reference = key_state_by_vector(vectors[name], d_e).reshape(2, d_e, 2, d_e)
+        for a in range(2):
+            assert np.max(np.abs(round_blocks[a] - reference[a, :, a])) < EXACT
+    # every returned state, and the key-state blocks, cannot be written to either
+    for matrix in [state.matrix for state in returned] + [blocks]:
         with pytest.raises(ValueError):
-            state.matrix[0, 0] = 0.0
+            matrix.flat[0] = 0.0
     # every reader takes rows of that one array: seen through a logging view, each reader derives
     # views that share the memory of the rows it reads, and gives what it gave before
     ops = (REFLECT, MEASURE_RESEND)
     readers = {  # each reader and the rows it reads
         "simulate_reduced": (lambda: [simulate_reduced(reduced, op).matrix for op in ops], {0, 1}),
-        "reduced_round_states": (lambda: [state.matrix for state in reduced_round_states(reduced)], {0, 1, 2}),
+        "reduced_round_states": (lambda: [reduced_round_states(reduced)], {0, 1, 2}),
         "estimate_noise_stats": (lambda: list(estimate_noise_stats(reduced)), {0, 1}),
     }
     before = {name: read() for name, (read, _) in readers.items()}
@@ -813,15 +811,16 @@ def test_reduced_round_states_decomposition():
         random_restricted_attack(2, rng),  # asymmetric preparation weight
     ):
         reduced = derive_reduced_attack(attack)
-        reflect_state, resend_state, aux_state = reduced_round_states(reduced)
-        for state in (reflect_state, resend_state, aux_state):
-            assert state.layout.labels == ("A1", "E")
-        mix = 0.5 * reflect_state.matrix + 0.5 * aux_state.matrix
-        assert np.max(np.abs(resend_state.matrix - mix)) < 1e-10
-        # the key register is classical: no coherence between A1 values
-        d_e = reduced.d_e
-        block = resend_state.matrix[:d_e, d_e:]
-        assert np.max(np.abs(block)) < EXACT
+        blocks = reduced_round_states(reduced)
+        assert blocks.shape == (3, 2, reduced.d_e, reduced.d_e) and blocks.dtype == complex
+        reflect, resend, aux = blocks
+        assert np.max(np.abs(resend - (0.5 * reflect + 0.5 * aux))) < 1e-10
+        # each round's sum_a |a><a| (x) rho_a is a state: every rho_a Hermitian and positive
+        # semidefinite, and the two traces sum to 1
+        assert np.max(np.abs(blocks - np.swapaxes(blocks, 2, 3).conj())) <= EXACT
+        assert np.min(np.linalg.eigvalsh(blocks)) >= -EXACT
+        traces = np.trace(blocks, axis1=2, axis2=3).sum(axis=1)
+        assert np.max(np.abs(traces - 1.0)) <= EXACT
 
 
 def test_reduced_round_states_refuses_a_broken_decomposition():

@@ -507,16 +507,21 @@ def test_vector_route_matches_density_matrix_route(attacks):
 
 @ATTACK_SETS
 def test_key_states_match_density_matrix_route_entry_by_entry(attacks):
-    # each key state is read off the round vectors' A1 rows; the reference pinches A1 in Z
-    # on the full round state and traces it down to (A1, E)
+    # each key state's blocks are read off the round vectors' A1 rows; the reference pinches A1
+    # in Z on the full round state and traces it down to (A1, E), whose blocks off the A1
+    # diagonal are then exact zeros: the two diagonal blocks are the whole state
     for attack in attacks():
         reduced = derive_reduced_attack(attack)
-        lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", attack.d_e))
-        for name, psi, state in zip(_ROUNDS, reduced._rounds, reduced_round_states(reduced)):
+        d_e = attack.d_e
+        lay = layout(("A1", 2), ("A2", 2), ("B", 2), ("E", d_e))
+        for name, psi, blocks in zip(_ROUNDS, reduced._rounds, reduced_round_states(reduced)):
             full = DensityOperator.from_state(psi, lay)
             reference = partial_trace(measure_register(full, "A1", "Z"), {"A1", "E"})
-            assert state.layout == reference.layout
-            assert np.max(np.abs(state.matrix - reference.matrix)) <= EXACT, name
+            assert reference.layout.labels == ("A1", "E")
+            matrix = reference.matrix.reshape(2, d_e, 2, d_e)
+            assert not np.any(matrix[0, :, 1]) and not np.any(matrix[1, :, 0]), name
+            for a in range(2):
+                assert np.max(np.abs(blocks[a] - matrix[a, :, a])) <= EXACT, name
 
 
 @settings(deadline=None, max_examples=25)
